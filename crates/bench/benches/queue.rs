@@ -1,9 +1,8 @@
 //! Microbenchmarks of the timer-wheel event queue: raw schedule/pop
 //! throughput, the fused `pop_if_before` horizon drain used by
-//! `Simulation::run_until`, keyed cancellation with tombstone
-//! compaction, and the periodic-heartbeat pattern that motivated the
-//! wheel — measured against [`ReferenceQueue`], the four-ary heap it
-//! replaced.
+//! `Simulation::run_until`, and the periodic-heartbeat pattern that
+//! motivated the wheel (with the model's epoch-guarded watchdog resets) —
+//! measured against [`ReferenceQueue`], the four-ary heap it replaced.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
@@ -69,40 +68,14 @@ fn bench_pop_if_before(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_keyed_cancel(c: &mut Criterion) {
-    let mut g = c.benchmark_group("queue");
-    let n = 100_000u64;
-    g.throughput(Throughput::Elements(n));
-    // Timeout-guard churn: most keyed timers are cancelled before they
-    // fire, so tombstones pile up and the queue must compact.
-    g.bench_function("keyed-cancel-90pct-compaction", |b| {
-        b.iter(|| {
-            let mut q = EventQueue::new();
-            let keys: Vec<_> = (0..n).map(|i| q.schedule_keyed(scatter(i), i)).collect();
-            let mut cancelled = 0u64;
-            for (i, key) in keys.into_iter().enumerate() {
-                if i % 10 != 0 {
-                    assert!(q.cancel(key));
-                    cancelled += 1;
-                }
-            }
-            let mut fired = 0u64;
-            while q.pop().is_some() {
-                fired += 1;
-            }
-            assert_eq!(cancelled + fired, n);
-            black_box((q.live_len(), fired))
-        });
-    });
-    g.finish();
-}
-
 /// The workload the wheel was built for: `hosts` periodic heartbeat
 /// timers at a fixed `period`, phases scattered across it. Every pop
-/// re-arms the firing host's timer one period out (keyed, so a reset can
-/// cancel it), and every 7th beat also resets a *neighbor's* pending
-/// timer — cancel plus early re-arm — the way a host state change
-/// re-arms its watchdog before the old deadline.
+/// re-arms the firing host's timer one period out, and every 7th beat
+/// also resets a *neighbor's* watchdog early, the way the model does it:
+/// bump the neighbor's epoch and schedule a fresh timer half a period
+/// out. The superseded timer stays queued and is ignored when it pops
+/// with a stale epoch, the guard `MgmtEvent::AgentDone` and
+/// `MgmtEvent::TransferTick` carry.
 ///
 /// One macro so the wheel and the reference heap run byte-identical
 /// schedules.
@@ -113,30 +86,31 @@ macro_rules! periodic_heartbeats {
         let period = SimDuration::from_micros(10_000_000);
         let half = SimDuration::from_micros(5_000_000);
         let mut q = $new;
-        let mut keys: Vec<_> = (0..hosts)
-            .map(|h| {
-                // Scatter phases over one period, deterministically.
-                let phase = (h.wrapping_mul(2_654_435_761)) % 10_000_000;
-                q.schedule_keyed(SimTime::from_micros(phase), h)
-            })
-            .collect();
+        let mut epochs = vec![0u64; hosts as usize];
+        for h in 0..hosts {
+            // Scatter phases over one period, deterministically.
+            let phase = (h.wrapping_mul(2_654_435_761)) % 10_000_000;
+            q.schedule(SimTime::from_micros(phase), (h, 0u64));
+        }
         let mut fired = 0u64;
-        let mut cancels = 0u64;
+        let mut stale = 0u64;
         while fired < beats {
-            let (t, h) = q.pop().expect("heartbeats re-arm forever");
+            let (t, (h, epoch)) = q.pop().expect("heartbeats re-arm forever");
+            if epoch != epochs[h as usize] {
+                stale += 1;
+                continue;
+            }
             fired += 1;
-            keys[h as usize] = q.schedule_keyed(t + period, h);
+            q.schedule(t + period, (h, epoch));
             if fired % 7 == 0 {
-                // Watchdog reset on the neighbor: its timer is pending
-                // (just re-armed or still waiting), so the cancel is live.
+                // Watchdog reset on the neighbor: supersede its pending
+                // timer and re-arm early.
                 let other = ((h + 1) % hosts) as usize;
-                if q.cancel(keys[other]) {
-                    cancels += 1;
-                    keys[other] = q.schedule_keyed(t + half, other as u64);
-                }
+                epochs[other] += 1;
+                q.schedule(t + half, (other as u64, epochs[other]));
             }
         }
-        black_box((fired, cancels, q.len()))
+        black_box((fired, stale, q.len()))
     }};
 }
 
@@ -159,7 +133,6 @@ criterion_group!(
     benches,
     bench_schedule_pop,
     bench_pop_if_before,
-    bench_keyed_cancel,
     bench_periodic_heartbeats
 );
 criterion_main!(benches);

@@ -1,9 +1,10 @@
 //! The [`CloudSim`] driver: wires plane, director and workload generator
 //! onto the discrete-event kernel.
 
-use cpsim_cloud::{CloudDirector, CloudOut, CloudReport, CloudRequest};
+use cpsim_cloud::{CloudDirector, CloudReport, CloudRequest};
 use cpsim_des::{EventQueue, Model, SimDuration, SimTime, Simulation};
 use cpsim_faults::FaultEvent;
+use cpsim_federation::{CloudStack, Forward, StackEvent};
 use cpsim_inventory::{DatastoreId, HostId, OrgId, VappId, VmId};
 use cpsim_mgmt::{ControlPlane, Emit, MgmtEvent, OpKind, Operation, TaskReport};
 use cpsim_workload::{GeneratedRequest, ReplayPlan, RequestGenerator, TraceAnalysis, TraceLog};
@@ -23,132 +24,39 @@ pub enum CoreEvent {
     Op(OpKind),
 }
 
-/// The simulation state driven by the kernel.
-pub struct CloudModel {
-    plane: ControlPlane,
-    director: CloudDirector,
-    generator: Option<RequestGenerator>,
-    arrivals_enabled: bool,
-    collect_trace: bool,
-    trace: TraceLog,
-    task_reports_kept: Vec<TaskReport>,
-    keep_task_reports: bool,
-    cloud_reports: Vec<CloudReport>,
-    hosts: Vec<HostId>,
-    datastores: Vec<DatastoreId>,
-    templates: Vec<VmId>,
-    org: OrgId,
-    /// Reused emission buffer: the plane appends into this on every
-    /// dispatched event instead of allocating a fresh `Vec` per event.
-    scratch: Vec<Emit>,
-    /// Pooled routing stack reused across events (see `route_stack`).
-    route_buf: Vec<CloudOut>,
+impl StackEvent for CoreEvent {
+    fn mgmt(ev: MgmtEvent) -> Self {
+        CoreEvent::Mgmt(ev)
+    }
+
+    fn lease(vapp: VappId) -> Self {
+        CoreEvent::Lease(vapp)
+    }
 }
 
-impl CloudModel {
-    /// Routes one emission: timers go onto the kernel queue, task reports
-    /// go to the director, whose output the caller must route in turn.
-    fn consume_emit(
-        &mut self,
-        now: SimTime,
-        e: Emit,
-        queue: &mut EventQueue<CoreEvent>,
-    ) -> Option<CloudOut> {
-        match e {
-            Emit::At(t, ev) => {
-                queue.schedule(t, CoreEvent::Mgmt(ev));
-                None
-            }
-            Emit::Done(_, r) | Emit::Failed(_, r) => {
-                if self.collect_trace {
-                    self.trace.push_task(&r);
-                }
-                if self.keep_task_reports {
-                    self.task_reports_kept.push(r.clone());
-                }
-                Some(self.director.on_task_report(now, &r, &mut self.plane))
-            }
-        }
-    }
-
-    fn route_stack(
-        &mut self,
-        now: SimTime,
-        stack: &mut Vec<CloudOut>,
-        queue: &mut EventQueue<CoreEvent>,
-    ) {
-        while let Some(o) = stack.pop() {
-            self.cloud_reports.extend(o.reports);
-            for (t, vapp) in o.leases {
-                queue.schedule(t, CoreEvent::Lease(vapp));
-            }
-            for e in o.mgmt {
-                if let Some(child) = self.consume_emit(now, e, queue) {
-                    stack.push(child);
-                }
-            }
-        }
-    }
-
-    fn route(&mut self, now: SimTime, out: CloudOut, queue: &mut EventQueue<CoreEvent>) {
-        let mut stack = std::mem::take(&mut self.route_buf);
-        stack.push(out);
-        self.route_stack(now, &mut stack, queue);
-        self.route_buf = stack;
-    }
-
-    /// Routes the plane emissions accumulated in `self.scratch`, leaving
-    /// the (emptied) buffer in place for the next event.
-    fn route_scratch(&mut self, now: SimTime, queue: &mut EventQueue<CoreEvent>) {
-        let mut emits = std::mem::take(&mut self.scratch);
-        let mut stack = std::mem::take(&mut self.route_buf);
-        for e in emits.drain(..) {
-            if let Some(child) = self.consume_emit(now, e, queue) {
-                stack.push(child);
-            }
-        }
-        self.scratch = emits;
-        self.route_stack(now, &mut stack, queue);
-        self.route_buf = stack;
-    }
-
-    fn submit_cloud(&mut self, now: SimTime, req: CloudRequest, queue: &mut EventQueue<CoreEvent>) {
-        let (_, out) = self.director.submit(now, req, &mut self.plane);
-        self.route(now, out, queue);
-    }
-
-    fn submit_op(&mut self, now: SimTime, op: OpKind, queue: &mut EventQueue<CoreEvent>) {
-        debug_assert!(self.scratch.is_empty());
-        let mut emits = std::mem::take(&mut self.scratch);
-        self.plane.submit(now, Operation::new(op), &mut emits);
-        self.scratch = emits;
-        self.route_scratch(now, queue);
-    }
+/// The simulation state driven by the kernel: the shared management
+/// stack plus the workload generator.
+pub struct CloudModel {
+    stack: CloudStack<CoreEvent, Forward>,
+    generator: Option<RequestGenerator>,
+    arrivals_enabled: bool,
 }
 
 impl Model for CloudModel {
     type Event = CoreEvent;
 
     fn handle(&mut self, now: SimTime, event: CoreEvent, queue: &mut EventQueue<CoreEvent>) {
+        let stack = &mut self.stack;
         match event {
-            CoreEvent::Mgmt(ev) => {
-                debug_assert!(self.scratch.is_empty());
-                let mut emits = std::mem::take(&mut self.scratch);
-                self.plane.handle(now, ev, &mut emits);
-                self.scratch = emits;
-                self.route_scratch(now, queue);
-            }
-            CoreEvent::Lease(vapp) => {
-                let out = self.director.on_lease_expiry(now, vapp, &mut self.plane);
-                self.route(now, out, queue);
-            }
+            CoreEvent::Mgmt(ev) => stack.handle_mgmt(now, ev, queue),
+            CoreEvent::Lease(vapp) => stack.expire_lease(now, vapp, queue),
             CoreEvent::Arrival => {
                 if !self.arrivals_enabled {
                     return;
                 }
                 let request = self.generator.as_mut().and_then(|g| {
                     // Split borrows: generate needs &director and &plane.
-                    let req = g.generate(now, &self.director, &self.plane);
+                    let req = g.generate(now, &stack.director, &stack.plane);
                     let next = g.next_arrival(now);
                     if next < SimTime::MAX {
                         queue.schedule(next, CoreEvent::Arrival);
@@ -156,13 +64,15 @@ impl Model for CloudModel {
                     req
                 });
                 match request {
-                    Some(GeneratedRequest::Cloud(req)) => self.submit_cloud(now, req, queue),
-                    Some(GeneratedRequest::Op(op)) => self.submit_op(now, op, queue),
+                    Some(GeneratedRequest::Cloud(req)) => stack.submit_cloud(now, req, queue),
+                    Some(GeneratedRequest::Op(op)) => {
+                        stack.submit_op(now, Operation::new(op), queue);
+                    }
                     None => {}
                 }
             }
-            CoreEvent::Request(req) => self.submit_cloud(now, req, queue),
-            CoreEvent::Op(op) => self.submit_op(now, op, queue),
+            CoreEvent::Request(req) => stack.submit_cloud(now, req, queue),
+            CoreEvent::Op(op) => stack.submit_op(now, Operation::new(op), queue),
         }
     }
 }
@@ -177,36 +87,17 @@ pub struct CloudSim {
 
 impl CloudSim {
     /// Internal constructor used by [`Scenario`](crate::Scenario).
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn assemble(
-        plane: ControlPlane,
-        director: CloudDirector,
+        stack: CloudStack<CoreEvent, Forward>,
         generator: Option<RequestGenerator>,
-        hosts: Vec<HostId>,
-        datastores: Vec<DatastoreId>,
-        templates: Vec<VmId>,
-        org: OrgId,
-        collect_trace: bool,
         fault_events: Vec<FaultEvent>,
     ) -> Self {
-        let init = plane.init_events();
+        let init = stack.plane.init_events();
         let has_generator = generator.is_some();
         let model = CloudModel {
-            plane,
-            director,
+            stack,
             generator,
             arrivals_enabled: true,
-            collect_trace,
-            trace: TraceLog::new(),
-            task_reports_kept: Vec::new(),
-            keep_task_reports: false,
-            cloud_reports: Vec::new(),
-            hosts,
-            datastores,
-            templates,
-            org,
-            scratch: Vec::new(),
-            route_buf: Vec::new(),
         };
         let mut sim = Simulation::new(model);
         for e in init {
@@ -249,9 +140,9 @@ impl CloudSim {
     }
 
     /// Keep full task reports in memory (off by default; traces are always
-    /// collected unless disabled in the scenario).
+    /// collected).
     pub fn keep_task_reports(&mut self, on: bool) {
-        self.sim.model_mut().keep_task_reports = on;
+        self.sim.model_mut().stack.keep_task_reports = on;
     }
 
     /// Current simulation time.
@@ -284,12 +175,12 @@ impl CloudSim {
 
     /// The control plane.
     pub fn plane(&self) -> &ControlPlane {
-        &self.sim.model().plane
+        &self.sim.model().stack.plane
     }
 
     /// The cloud director.
     pub fn director(&self) -> &CloudDirector {
-        &self.sim.model().director
+        &self.sim.model().stack.director
     }
 
     /// Whether a workload generator is attached.
@@ -304,37 +195,37 @@ impl CloudSim {
 
     /// The operation trace collected so far.
     pub fn trace(&self) -> &TraceLog {
-        &self.sim.model().trace
+        &self.sim.model().stack.trace
     }
 
     /// Full task reports (only if `keep_task_reports` was enabled).
     pub fn task_reports(&self) -> &[TaskReport] {
-        &self.sim.model().task_reports_kept
+        &self.sim.model().stack.task_reports_kept
     }
 
     /// Completed cloud requests.
     pub fn cloud_reports(&self) -> &[CloudReport] {
-        &self.sim.model().cloud_reports
+        &self.sim.model().stack.cloud_reports
     }
 
     /// Hosts created by the scenario, in creation order.
     pub fn hosts(&self) -> &[HostId] {
-        &self.sim.model().hosts
+        &self.sim.model().stack.hosts
     }
 
     /// Datastores created by the scenario, in creation order.
     pub fn datastores(&self) -> &[DatastoreId] {
-        &self.sim.model().datastores
+        &self.sim.model().stack.datastores
     }
 
     /// Catalog templates, in creation order.
     pub fn templates(&self) -> &[VmId] {
-        &self.sim.model().templates
+        &self.sim.model().stack.templates
     }
 
     /// The default org requests are attributed to.
     pub fn org(&self) -> OrgId {
-        self.sim.model().org
+        self.sim.model().stack.org
     }
 
     /// Setup-time helper exposed for experiments: installs a powered-off
@@ -352,6 +243,7 @@ impl CloudSim {
     ) -> Result<VmId, String> {
         self.sim
             .model_mut()
+            .stack
             .plane
             .install_vm(name, spec, host, ds, false)
     }

@@ -4,6 +4,7 @@
 use cpsim_cloud::{CloudDirector, ProvisioningPolicy};
 use cpsim_des::{SimTime, Streams};
 use cpsim_faults::FaultPlan;
+use cpsim_federation::{CloudStack, Forward};
 use cpsim_inventory::{DatastoreId, DatastoreSpec, HostId, HostSpec, VmId, VmSpec};
 use cpsim_mgmt::{ControlPlane, ControlPlaneConfig};
 use cpsim_workload::{Profile, RequestGenerator, Topology, WorkloadSpec};
@@ -22,7 +23,6 @@ pub struct Scenario {
     topology: Topology,
     workload: Option<WorkloadSpec>,
     policy: ProvisioningPolicy,
-    collect_trace: bool,
     fault_plan: Option<FaultPlan>,
 }
 
@@ -35,7 +35,6 @@ impl Scenario {
             topology: profile.topology.clone(),
             workload: Some(profile.workload.clone()),
             policy: ProvisioningPolicy::default(),
-            collect_trace: true,
             fault_plan: None,
         }
     }
@@ -49,7 +48,6 @@ impl Scenario {
             topology,
             workload: None,
             policy: ProvisioningPolicy::default(),
-            collect_trace: true,
             fault_plan: None,
         }
     }
@@ -81,12 +79,6 @@ impl Scenario {
     /// Replaces the workload (or removes it with `None`).
     pub fn workload(mut self, workload: Option<WorkloadSpec>) -> Self {
         self.workload = workload;
-        self
-    }
-
-    /// Enables/disables per-operation trace collection (default on).
-    pub fn collect_trace(mut self, on: bool) -> Self {
-        self.collect_trace = on;
         self
     }
 
@@ -136,17 +128,8 @@ impl Scenario {
             _ => Vec::new(),
         };
 
-        CloudSim::assemble(
-            plane,
-            director,
-            generator,
-            hosts,
-            datastores,
-            templates,
-            org,
-            self.collect_trace,
-            fault_events,
-        )
+        let stack = CloudStack::new(plane, director, hosts, datastores, templates, org, Forward);
+        CloudSim::assemble(stack, generator, fault_events)
     }
 }
 

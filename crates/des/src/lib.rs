@@ -49,7 +49,6 @@
 pub mod dist;
 pub mod engine;
 pub mod hash;
-pub mod queue;
 pub mod reference;
 pub mod resource;
 pub mod rng;
@@ -59,7 +58,6 @@ pub mod wheel;
 pub use dist::{Dist, DistError};
 pub use engine::{global_events_processed, Model, RunOutcome, Simulation, MAX_EVENT_BYTES};
 pub use hash::{FastMap, FastSet, FxHasher};
-pub use queue::{TimerToken, TokenGen};
 pub use reference::ReferenceQueue;
 pub use resource::bandwidth::{SharedBandwidth, TransferDone, TransferPlan};
 pub use resource::fifo::FifoQueue;
@@ -67,4 +65,4 @@ pub use resource::slots::SlotPool;
 pub use resource::timeweighted::TimeWeighted;
 pub use rng::{derive_seed, SimRng, Streams};
 pub use time::{SimDuration, SimTime};
-pub use wheel::{EventKey, EventQueue};
+pub use wheel::EventQueue;

@@ -7,7 +7,7 @@
 //! directly — with two jobs:
 //!
 //! - **property-test oracle**: `tests/kernel_properties.rs` drives both
-//!   kernels through identical schedule/cancel/pop churn and asserts the
+//!   kernels through identical schedule/pop churn and asserts the
 //!   pop streams match exactly (the same style PR 3 used for `Placer`'s
 //!   reference scan);
 //! - **benchmark baseline**: `cpsim-bench --bench queue` reports the
@@ -21,24 +21,12 @@
 //! A four-ary implicit min-heap ordered by `(time, seq)`: event sets here
 //! routinely hold 10⁴–10⁵ pending events, and a 4-ary layout halves the
 //! tree depth vs. a binary heap, so `pop` does half the cache-missing
-//! levels per sift-down. Cancellation tombstones entries in place, skips
-//! them at the root, and compacts in bulk once they dominate; the root is
-//! never left tombstoned so peeks need no mutation.
+//! levels per sift-down.
 
 use crate::time::SimTime;
-use crate::wheel::EventKey;
-
-/// Membership-only set of sequence numbers (cancellation bookkeeping).
-/// See [`crate::wheel`] for why hash ordering cannot leak into event order.
-// cpsim-lint: allow(no-unordered-iteration): membership-only probes; iteration order is never observed
-type SeqSet = std::collections::HashSet<u64>;
 
 /// Heap arity. Four children per node halves tree depth vs. a binary heap.
 const ARITY: usize = 4;
-
-/// Compact when tombstones outnumber live events and there are at least
-/// this many of them (small queues are not worth the rebuild).
-const COMPACT_MIN_TOMBSTONES: usize = 64;
 
 struct Entry<E> {
     time: SimTime,
@@ -54,22 +42,12 @@ impl<E> Entry<E> {
 }
 
 /// The retired heap kernel: a four-ary index-min heap with the same
-/// `(time, seq)` total order, keyed cancellation, and tombstone
-/// compaction as [`crate::EventQueue`]. Oracle and benchmark baseline
-/// only — see the module docs.
+/// `(time, seq)` total order as [`crate::EventQueue`]. Oracle and
+/// benchmark baseline only — see the module docs.
 #[derive(Default)]
 pub struct ReferenceQueue<E> {
     heap: Vec<Entry<E>>,
     next_seq: u64,
-    /// Sequence numbers cancelled while still pending. Invariant: the heap
-    /// root is never cancelled (so [`next_time`](Self::next_time) needs no
-    /// mutation). Only removals can surface a tombstone at the root
-    /// (pushes sift the *new* entry up), so [`pop_raw`](Self::pop_raw)
-    /// restores the invariant after every removal.
-    cancelled: SeqSet,
-    /// Sequence numbers scheduled via [`schedule_keyed`](Self::schedule_keyed)
-    /// and still pending: lets `cancel` decide pendingness exactly in O(1).
-    keyed: SeqSet,
 }
 
 impl<E> ReferenceQueue<E> {
@@ -78,143 +56,53 @@ impl<E> ReferenceQueue<E> {
         ReferenceQueue {
             heap: Vec::new(),
             next_seq: 0,
-            cancelled: SeqSet::new(),
-            keyed: SeqSet::new(),
         }
-    }
-
-    #[inline]
-    fn push_entry(&mut self, time: SimTime, event: E) -> u64 {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.heap.push(Entry { time, seq, event });
-        self.sift_up(self.heap.len() - 1);
-        seq
     }
 
     /// Schedules `event` to fire at `time`.
     pub fn schedule(&mut self, time: SimTime, event: E) {
-        self.push_entry(time, event);
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.heap.push(Entry { time, seq, event });
+        self.sift_up(self.heap.len() - 1);
     }
 
-    /// Schedules `event` at `time` and returns a key that can later
-    /// [`cancel`](Self::cancel) it. Keys are interchangeable with the
-    /// wheel's: both assign `EventKey(seq)` with the same seq sequence.
-    pub fn schedule_keyed(&mut self, time: SimTime, event: E) -> EventKey {
-        let seq = self.push_entry(time, event);
-        self.keyed.insert(seq);
-        EventKey(seq)
-    }
-
-    /// Cancels a pending event by key; returns whether the key was live.
-    pub fn cancel(&mut self, key: EventKey) -> bool {
-        if !self.keyed.remove(&key.0) {
-            return false;
-        }
-        // Fast path: cancelling the root pops it immediately, keeping the
-        // "root is live" invariant without a set lookup on every peek.
-        if let Some(root) = self.heap.first() {
-            if root.seq == key.0 {
-                self.pop_raw();
-                return true;
-            }
-        }
-        self.cancelled.insert(key.0);
-        if self.cancelled.len() >= COMPACT_MIN_TOMBSTONES
-            && self.cancelled.len() * 2 > self.heap.len()
-        {
-            self.compact();
-        }
-        true
-    }
-
-    /// Drops every tombstoned entry and restores the heap invariant.
-    fn compact(&mut self) {
-        let cancelled = &mut self.cancelled;
-        self.heap.retain(|e| !cancelled.remove(&e.seq));
-        cancelled.clear();
-        // Floyd heapify: sift down from the last parent to the root.
-        if self.heap.len() > 1 {
-            let last_parent = (self.heap.len() - 2) / ARITY;
-            for i in (0..=last_parent).rev() {
-                self.sift_down(i);
-            }
-        }
-    }
-
-    /// Removes and returns the earliest live event, if any.
+    /// Removes and returns the earliest event, if any.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        loop {
-            let e = self.pop_raw()?;
-            if !self.keyed.is_empty() {
-                self.keyed.remove(&e.seq);
-            }
-            if self.cancelled.is_empty() || !self.cancelled.remove(&e.seq) {
-                return Some((e.time, e.event));
-            }
+        let len = self.heap.len();
+        if len == 0 {
+            return None;
         }
+        self.heap.swap(0, len - 1);
+        let e = self.heap.pop()?;
+        if !self.heap.is_empty() {
+            self.sift_down(0);
+        }
+        Some((e.time, e.event))
     }
 
-    /// Removes and returns the earliest live event **if it fires at or
+    /// Removes and returns the earliest event **if it fires at or
     /// before `horizon`**; otherwise leaves the queue untouched.
     pub fn pop_if_before(&mut self, horizon: SimTime) -> Option<(SimTime, E)> {
-        // Root is never tombstoned, so its time is authoritative.
         if self.heap.first()?.time > horizon {
             return None;
         }
         self.pop()
     }
 
-    /// The timestamp of the earliest pending live event, if any.
+    /// The timestamp of the earliest pending event, if any.
     pub fn next_time(&self) -> Option<SimTime> {
         self.heap.first().map(|e| e.time)
     }
 
-    /// Number of pending entries, **including** tombstoned ones.
+    /// Number of pending events.
     pub fn len(&self) -> usize {
         self.heap.len()
     }
 
-    /// Number of pending events that will actually fire.
-    pub fn live_len(&self) -> usize {
-        self.heap.len() - self.cancelled.len()
-    }
-
-    /// Number of cancelled entries still occupying heap slots.
-    pub fn tombstoned_len(&self) -> usize {
-        self.cancelled.len()
-    }
-
-    /// Whether no live events are pending.
+    /// Whether no events are pending.
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
-    }
-
-    fn pop_raw(&mut self) -> Option<Entry<E>> {
-        let entry = self.remove_root();
-        // Removing the root may promote a tombstoned entry into its place;
-        // discard such entries now so the root-is-live invariant holds for
-        // every peek (`next_time`, `pop_if_before`, `is_empty`).
-        while let Some(root) = self.heap.first() {
-            if !self.cancelled.remove(&root.seq) {
-                break;
-            }
-            self.remove_root();
-        }
-        entry
-    }
-
-    fn remove_root(&mut self) -> Option<Entry<E>> {
-        let len = self.heap.len();
-        if len == 0 {
-            return None;
-        }
-        self.heap.swap(0, len - 1);
-        let entry = self.heap.pop();
-        if !self.heap.is_empty() {
-            self.sift_down(0);
-        }
-        entry
     }
 
     #[inline]
@@ -263,8 +151,7 @@ impl<E> ReferenceQueue<E> {
 impl<E> std::fmt::Debug for ReferenceQueue<E> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ReferenceQueue")
-            .field("live", &self.live_len())
-            .field("tombstoned", &self.tombstoned_len())
+            .field("len", &self.len())
             .field("next_time", &self.next_time())
             .finish()
     }
@@ -284,19 +171,5 @@ mod tests {
         }
         let order: Vec<i32> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
         assert_eq!(order, vec![0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 99]);
-    }
-
-    #[test]
-    fn cancel_and_compaction_semantics_match_the_wheel() {
-        let mut q = ReferenceQueue::new();
-        let _a = q.schedule_keyed(SimTime::from_secs(1), "a");
-        let b = q.schedule_keyed(SimTime::from_secs(2), "b");
-        assert!(q.cancel(b));
-        assert!(!q.cancel(b));
-        assert_eq!(q.len(), 2);
-        assert_eq!(q.live_len(), 1);
-        assert_eq!(q.pop().unwrap().1, "a");
-        assert!(q.is_empty());
-        assert_eq!(q.tombstoned_len(), 0);
     }
 }

@@ -2,12 +2,13 @@
 //! discrete-event kernel, coordinating through the shared
 //! [`PlacementStore`](crate::store::PlacementStore).
 //!
-//! Each shard is a full management stack — plane, director, trace — and
-//! handles its own events exactly as the single-plane driver does, on a
-//! **private** event queue. The canonical event order of a federated run
-//! is ascending `(virtual time, shard index, per-shard sequence)`; a
-//! coordinator pseudo-shard (index = shard count) carries the cross-shard
-//! migration machinery and sorts after every real shard at equal time.
+//! Each shard is a full management stack — plane, director, trace — held
+//! in the same [`CloudStack`] the single-plane driver uses, so it routes
+//! its own events through the same code, on a **private** event queue.
+//! The canonical event order of a federated run is ascending
+//! `(virtual time, shard index, per-shard sequence)`; a coordinator
+//! pseudo-shard (index = shard count) carries the cross-shard migration
+//! machinery and sorts after every real shard at equal time.
 //! Because the order is defined per shard rather than by a global
 //! arrival sequence, it is *independent of how the shards are executed*:
 //! the sequential scan loop (the oracle) and the conservative parallel
@@ -19,11 +20,12 @@
 //! 1. **Sync ticks** ([`ShardEvent::StoreSync`]): every staleness
 //!    window, each shard folds foreign commits on the shared pool into
 //!    its local inventory mirror (and pays CPU/DB time for the refresh).
-//! 2. **Ledger settlement**: when a gated placement's task completes, its
-//!    [`OpenCommit`] is settled — kept as a reservation on success,
-//!    released back to the pool on failure or rollback. Destroying the VM
-//!    later releases the reservation. Settlement only touches the store
-//!    for placements on shared ids; home placements stay shard-private.
+//! 2. **Ledger settlement** (the shard's [`ReportHook`]): when a gated
+//!    placement's task completes, its [`OpenCommit`] is settled — kept as
+//!    a reservation on success, released back to the pool on failure or
+//!    rollback. Destroying the VM later releases the reservation.
+//!    Settlement only touches the store for placements on shared ids;
+//!    home placements stay shard-private.
 //! 3. **Cross-shard migration**: a two-phase evacuate → handoff → admit
 //!    protocol driven by tagged raw operations (tags at or above
 //!    [`MIG_TAG_BASE`] are reserved for the migration machinery). Runs
@@ -33,13 +35,14 @@
 
 use std::sync::Arc;
 
-use cpsim_cloud::{CloudDirector, CloudOut, CloudReport, CloudRequest};
+use cpsim_cloud::{CloudDirector, CloudReport, CloudRequest};
 use cpsim_des::{EventQueue, FastMap, Model, SimDuration, SimTime, Simulation};
 use cpsim_inventory::{DatastoreId, HostId, OrgId, VappId, VmId};
 use cpsim_mgmt::{CloneMode, ControlPlane, Emit, MgmtEvent, OpKind, Operation, TaskReport};
 use cpsim_workload::TraceLog;
 
 use crate::runner;
+use crate::stack::{CloudStack, ReportHook, StackEvent};
 use crate::store::{OpenCommit, StoreStats};
 use crate::turnstile::StoreCell;
 
@@ -95,27 +98,11 @@ pub(crate) struct ShardSetup {
     pub(crate) shared_ds: Vec<DatastoreId>,
 }
 
-/// One shard's full management stack: the [`Model`] driven by that
-/// shard's private simulation kernel.
-pub(crate) struct ShardCore {
+/// A shard's [`ReportHook`]: settles the shared-pool ledger for every
+/// finished task and keeps migration-tagged reports from the director.
+pub(crate) struct Ledger {
     shard: usize,
-    plane: ControlPlane,
-    director: CloudDirector,
-    org: OrgId,
-    hosts: Vec<HostId>,
-    datastores: Vec<DatastoreId>,
-    templates: Vec<VmId>,
-    initial_vms: Vec<VmId>,
-    trace: TraceLog,
-    task_reports_kept: Vec<TaskReport>,
-    keep_task_reports: bool,
-    cloud_reports: Vec<CloudReport>,
-    /// Reused emission buffer (see `CloudModel::scratch` in cpsim-core).
-    scratch: Vec<Emit>,
-    /// Pooled routing stack reused across events (see `route_stack`).
-    route_buf: Vec<CloudOut>,
     cell: Arc<StoreCell>,
-    staleness: SimDuration,
     /// Local ids belonging to the shared pool: placements touching
     /// neither set never recorded an [`OpenCommit`], so settlement can
     /// skip the store (and the turnstile) entirely.
@@ -130,9 +117,9 @@ pub(crate) struct ShardCore {
     pub(crate) mig_outbox: Vec<TaskReport>,
 }
 
-impl ShardCore {
+impl Ledger {
     /// Settles the shared-pool ledger for a finished task.
-    fn settle_ledger(&mut self, now: SimTime, r: &TaskReport) {
+    fn settle(&mut self, now: SimTime, r: &TaskReport) {
         match r.kind {
             "create-vm" | "clone-full" | "clone-linked" => {
                 let Some((host, ds)) = r.placement else {
@@ -173,137 +160,63 @@ impl ShardCore {
             _ => {}
         }
     }
+}
 
-    /// Routes one emission: timers back onto this shard's queue, task
-    /// reports to the ledger and then the director (or the migration
-    /// outbox for tagged reports).
-    fn consume_emit(
-        &mut self,
-        now: SimTime,
-        e: Emit,
-        queue: &mut EventQueue<ShardEvent>,
-    ) -> Option<CloudOut> {
-        match e {
-            Emit::At(t, ev) => {
-                queue.schedule(t, ShardEvent::Mgmt(ev));
-                None
-            }
-            Emit::Done(_, r) | Emit::Failed(_, r) => {
-                self.trace.push_task(&r);
-                if self.keep_task_reports {
-                    self.task_reports_kept.push(r.clone());
-                }
-                self.settle_ledger(now, &r);
-                if r.tag >= MIG_TAG_BASE {
-                    self.mig_outbox.push(r);
-                    None
-                } else {
-                    Some(self.director.on_task_report(now, &r, &mut self.plane))
-                }
-            }
+impl ReportHook for Ledger {
+    fn on_report(&mut self, now: SimTime, r: &TaskReport) -> bool {
+        self.settle(now, r);
+        if r.tag >= MIG_TAG_BASE {
+            self.mig_outbox.push(r.clone());
+            false
+        } else {
+            true
         }
     }
+}
 
-    fn route_stack(
-        &mut self,
-        now: SimTime,
-        stack: &mut Vec<CloudOut>,
-        queue: &mut EventQueue<ShardEvent>,
-    ) {
-        while let Some(o) = stack.pop() {
-            self.cloud_reports.extend(o.reports);
-            for (t, vapp) in o.leases {
-                queue.schedule(t, ShardEvent::Lease(vapp));
-            }
-            for e in o.mgmt {
-                if let Some(child) = self.consume_emit(now, e, queue) {
-                    stack.push(child);
-                }
-            }
-        }
+impl StackEvent for ShardEvent {
+    fn mgmt(ev: MgmtEvent) -> Self {
+        ShardEvent::Mgmt(ev)
     }
 
-    fn route(&mut self, now: SimTime, out: CloudOut, queue: &mut EventQueue<ShardEvent>) {
-        let mut stack = std::mem::take(&mut self.route_buf);
-        stack.push(out);
-        self.route_stack(now, &mut stack, queue);
-        self.route_buf = stack;
+    fn lease(vapp: VappId) -> Self {
+        ShardEvent::Lease(vapp)
     }
+}
 
-    /// Routes the plane emissions accumulated in the scratch buffer,
-    /// leaving the (emptied) buffer in place for the next event.
-    fn route_scratch(&mut self, now: SimTime, queue: &mut EventQueue<ShardEvent>) {
-        let mut emits = std::mem::take(&mut self.scratch);
-        let mut stack = std::mem::take(&mut self.route_buf);
-        for e in emits.drain(..) {
-            if let Some(child) = self.consume_emit(now, e, queue) {
-                stack.push(child);
-            }
-        }
-        self.scratch = emits;
-        self.route_stack(now, &mut stack, queue);
-        self.route_buf = stack;
-    }
-
-    fn sync_gate(&mut self, now: SimTime, queue: &mut EventQueue<ShardEvent>) {
-        debug_assert!(self.scratch.is_empty());
-        let mut emits = std::mem::take(&mut self.scratch);
-        self.plane.sync_placement_gate(now, &mut emits);
-        self.scratch = emits;
-        self.route_scratch(now, queue);
-    }
-
-    fn submit_cloud(
-        &mut self,
-        now: SimTime,
-        req: CloudRequest,
-        queue: &mut EventQueue<ShardEvent>,
-    ) {
-        let (_, out) = self.director.submit(now, req, &mut self.plane);
-        self.route(now, out, queue);
-    }
-
-    fn submit_op(&mut self, now: SimTime, op: Operation, queue: &mut EventQueue<ShardEvent>) {
-        debug_assert!(self.scratch.is_empty());
-        let mut emits = std::mem::take(&mut self.scratch);
-        self.plane.submit(now, op, &mut emits);
-        self.scratch = emits;
-        self.route_scratch(now, queue);
-    }
+/// One shard: its management stack plus the sync and migration events
+/// that only a shard handles. The [`Model`] driven by that shard's
+/// private simulation kernel.
+pub(crate) struct ShardCore {
+    pub(crate) stack: CloudStack<ShardEvent, Ledger>,
+    initial_vms: Vec<VmId>,
+    staleness: SimDuration,
 }
 
 impl Model for ShardCore {
     type Event = ShardEvent;
 
     fn handle(&mut self, now: SimTime, event: ShardEvent, queue: &mut EventQueue<ShardEvent>) {
+        let stack = &mut self.stack;
         match event {
-            ShardEvent::Mgmt(ev) => {
-                debug_assert!(self.scratch.is_empty());
-                let mut emits = std::mem::take(&mut self.scratch);
-                self.plane.handle(now, ev, &mut emits);
-                self.scratch = emits;
-                self.route_scratch(now, queue);
-            }
-            ShardEvent::Lease(vapp) => {
-                let out = self.director.on_lease_expiry(now, vapp, &mut self.plane);
-                self.route(now, out, queue);
-            }
-            ShardEvent::Request(req) => self.submit_cloud(now, req, queue),
-            ShardEvent::Op(op) => self.submit_op(now, Operation::new(op), queue),
+            ShardEvent::Mgmt(ev) => stack.handle_mgmt(now, ev, queue),
+            ShardEvent::Lease(vapp) => stack.expire_lease(now, vapp, queue),
+            ShardEvent::Request(req) => stack.submit_cloud(now, req, queue),
+            ShardEvent::Op(op) => stack.submit_op(now, Operation::new(op), queue),
             ShardEvent::StoreSync => {
-                self.sync_gate(now, queue);
+                stack.sync_gate(now, queue);
                 queue.schedule(now + self.staleness, ShardEvent::StoreSync);
             }
             ShardEvent::MigrateEvacuate { id, vm } => {
                 let op = Operation::tagged(OpKind::DestroyVm { vm }, MIG_TAG_BASE + id);
-                self.submit_op(now, op, queue);
+                stack.submit_op(now, op, queue);
             }
             ShardEvent::MigrateAdmit(id) => {
                 // The destination refreshes its shared-pool view first
                 // (it is about to place into it), then admits the VM as
                 // a linked clone of its local template.
-                self.sync_gate(now, queue);
-                let source = self.templates[0];
+                stack.sync_gate(now, queue);
+                let source = stack.templates[0];
                 let op = Operation::tagged(
                     OpKind::CloneVm {
                         source,
@@ -311,7 +224,7 @@ impl Model for ShardCore {
                     },
                     MIG_TAG_BASE + id,
                 );
-                self.submit_op(now, op, queue);
+                stack.submit_op(now, op, queue);
             }
         }
     }
@@ -391,27 +304,26 @@ impl FedSim {
         let mut shard_sims = Vec::with_capacity(shard_count);
         for (s, setup) in setups.into_iter().enumerate() {
             let init = setup.plane.init_events();
-            let core = ShardCore {
+            let ledger = Ledger {
                 shard: s,
-                plane: setup.plane,
-                director: setup.director,
-                org: setup.org,
-                hosts: setup.hosts,
-                datastores: setup.datastores,
-                templates: setup.templates,
-                initial_vms: setup.initial_vms,
-                trace: TraceLog::new(),
-                task_reports_kept: Vec::new(),
-                keep_task_reports: false,
-                cloud_reports: Vec::new(),
-                scratch: Vec::new(),
-                route_buf: Vec::new(),
                 cell: Arc::clone(&cell),
-                staleness,
                 shared_hosts: setup.shared_hosts,
                 shared_ds: setup.shared_ds,
                 reservations: FastMap::default(),
                 mig_outbox: Vec::new(),
+            };
+            let core = ShardCore {
+                stack: CloudStack::new(
+                    setup.plane,
+                    setup.director,
+                    setup.hosts,
+                    setup.datastores,
+                    setup.templates,
+                    setup.org,
+                    ledger,
+                ),
+                initial_vms: setup.initial_vms,
+                staleness,
             };
             let mut sim = Simulation::new(core);
             for e in init {
@@ -533,11 +445,11 @@ impl FedSim {
     /// Drains shard `s`'s migration-tagged task reports into the
     /// coordinator's state machine.
     fn drain_outbox(&mut self, s: usize) {
-        if self.shard_sims[s].model().mig_outbox.is_empty() {
+        if self.shard_sims[s].model().stack.hook.mig_outbox.is_empty() {
             return;
         }
         let now = self.shard_sims[s].now();
-        let reports = std::mem::take(&mut self.shard_sims[s].model_mut().mig_outbox);
+        let reports = std::mem::take(&mut self.shard_sims[s].model_mut().stack.hook.mig_outbox);
         for r in reports {
             self.on_migration_report(now, s, &r);
         }
@@ -611,38 +523,38 @@ impl FedSim {
     /// Keep full task reports in memory on every shard (off by default).
     pub fn keep_task_reports(&mut self, on: bool) {
         for sim in &mut self.shard_sims {
-            sim.model_mut().keep_task_reports = on;
+            sim.model_mut().stack.keep_task_reports = on;
         }
     }
 
     /// Shard `s`'s control plane.
     pub fn plane(&self, s: usize) -> &ControlPlane {
-        &self.shard_sims[s].model().plane
+        &self.shard_sims[s].model().stack.plane
     }
 
     /// Shard `s`'s cloud director.
     pub fn director(&self, s: usize) -> &CloudDirector {
-        &self.shard_sims[s].model().director
+        &self.shard_sims[s].model().stack.director
     }
 
     /// Shard `s`'s default org.
     pub fn org(&self, s: usize) -> OrgId {
-        self.shard_sims[s].model().org
+        self.shard_sims[s].model().stack.org
     }
 
     /// Shard `s`'s hosts, in creation order (home first, then shared).
     pub fn hosts(&self, s: usize) -> &[HostId] {
-        &self.shard_sims[s].model().hosts
+        &self.shard_sims[s].model().stack.hosts
     }
 
     /// Shard `s`'s datastores, in creation order (home first, then shared).
     pub fn datastores(&self, s: usize) -> &[DatastoreId] {
-        &self.shard_sims[s].model().datastores
+        &self.shard_sims[s].model().stack.datastores
     }
 
     /// Shard `s`'s catalog templates.
     pub fn templates(&self, s: usize) -> &[VmId] {
-        &self.shard_sims[s].model().templates
+        &self.shard_sims[s].model().stack.templates
     }
 
     /// Shard `s`'s pre-installed VMs, in creation order.
@@ -652,23 +564,23 @@ impl FedSim {
 
     /// Shard `s`'s operation trace.
     pub fn trace(&self, s: usize) -> &TraceLog {
-        &self.shard_sims[s].model().trace
+        &self.shard_sims[s].model().stack.trace
     }
 
     /// Shard `s`'s completed cloud requests.
     pub fn cloud_reports(&self, s: usize) -> &[CloudReport] {
-        &self.shard_sims[s].model().cloud_reports
+        &self.shard_sims[s].model().stack.cloud_reports
     }
 
     /// Shard `s`'s full task reports (only if `keep_task_reports` is on).
     pub fn task_reports(&self, s: usize) -> &[TaskReport] {
-        &self.shard_sims[s].model().task_reports_kept
+        &self.shard_sims[s].model().stack.task_reports_kept
     }
 
     /// A load observation for routing: tasks in flight plus pending
     /// admissions on shard `s`.
     pub fn shard_load(&self, s: usize) -> usize {
-        let plane = &self.shard_sims[s].model().plane;
+        let plane = &self.shard_sims[s].model().stack.plane;
         plane.tasks_in_flight() + plane.admission().pending_len()
     }
 

@@ -47,6 +47,7 @@ pub mod gate;
 pub mod router;
 mod runner;
 pub mod scenario;
+pub mod stack;
 pub mod store;
 pub mod turnstile;
 
@@ -54,5 +55,6 @@ pub use driver::{FedSim, MigrationReport, ShardEvent, MIG_TAG_BASE};
 pub use gate::StoreGate;
 pub use router::{Router, RouterPolicy};
 pub use scenario::{FedScenario, FedTopology};
+pub use stack::{CloudStack, Forward, ReportHook, StackEvent};
 pub use store::{OpenCommit, PlacementStore, StoreStats};
 pub use turnstile::StoreCell;

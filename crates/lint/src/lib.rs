@@ -70,10 +70,11 @@ pub const HARNESS_DIRS: &[&str] = &["crates/bench/src", "src", "examples"];
 /// silently cover less than the old list did. `--hot` single-file scans
 /// (R5) still work for fixtures and ad-hoc audits.
 ///
-/// Re-audit note: `crates/des/src/queue.rs` was dropped from the list.
-/// The graph proves its `TokenGen`/`TimerToken` pair has no non-test
-/// callers anywhere in the workspace (the wheel took over cancellation),
-/// so keeping it would make the floor assert on vacuously-cold code.
+/// Re-audit note: the list once named `crates/des/src/queue.rs`. The
+/// graph showed its payload-side cancellation tokens had no non-test
+/// callers, so the file left the list and later the tree, together with
+/// the wheel's keyed cancellation: the model guards superseded timers
+/// with an epoch in the event payload instead.
 pub const HOT_PATH_FILES: &[&str] = &[
     "crates/des/src/engine.rs",
     "crates/des/src/wheel.rs",

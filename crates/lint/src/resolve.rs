@@ -93,15 +93,13 @@ pub fn resolve_calls(g: &mut SymbolGraph) {
 pub type EntrySpec = (Option<&'static str>, &'static str);
 
 /// The declared hot entry points R7 computes its closure from: the timer
-/// wheel's insert/cancel/pop surface, the federation turnstile, the
+/// wheel's schedule/pop surface, the federation turnstile, the
 /// threaded runner, placement, and the admission drain. These replace the
 /// PR-4-era hand-maintained hot-file list — reachability, not file
 /// membership, now decides what "hot path" means.
 pub const HOT_ENTRY_POINTS: &[EntrySpec] = &[
     // DES timer wheel (crates/des/src/wheel.rs).
     (Some("EventQueue"), "schedule"),
-    (Some("EventQueue"), "schedule_keyed"),
-    (Some("EventQueue"), "cancel"),
     (Some("EventQueue"), "pop"),
     (Some("EventQueue"), "pop_if_before"),
     // Federation turnstile (crates/federation/src/turnstile.rs).

@@ -1,9 +1,9 @@
 //! Kernel event-queue properties: the hierarchical timer wheel
 //! ([`EventQueue`]) must be observationally identical to the four-ary
 //! heap it replaced ([`ReferenceQueue`], kept as the oracle) under any
-//! interleaving of schedules, keyed cancels, and pops — including
-//! entries that cross bucket boundaries, cascade down levels, and round
-//! trip through the overflow heap.
+//! interleaving of schedules and pops — including entries that cross
+//! bucket boundaries, cascade down levels, and round trip through the
+//! overflow heap.
 
 use cpsim_des::{EventQueue, ReferenceQueue, SimTime};
 use proptest::prelude::*;
@@ -11,11 +11,8 @@ use proptest::prelude::*;
 /// One scripted queue operation, interpreted identically on both queues.
 #[derive(Clone, Debug)]
 enum Op {
-    /// Schedule at `base_scale * mult + off` µs, keyed.
+    /// Schedule at `base_scale * mult + off` µs.
     Schedule { scale: u8, mult: u64, off: u64 },
-    /// Cancel the `i % outstanding`-th still-tracked key (both queues
-    /// agree on the index ↔ key mapping, so the same logical event dies).
-    Cancel { i: usize },
     /// Pop up to `n` events, comparing the streams element-wise.
     Pop { n: usize },
 }
@@ -38,11 +35,10 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     let schedule = (0u8..SCALES.len() as u8, 0u64..6, 0u64..130)
         .prop_map(|(scale, mult, off)| Op::Schedule { scale, mult, off });
     // The schedule arm appears twice: biasing toward schedules keeps the
-    // queues populated so cancels and pops have entries to chew on.
+    // queues populated so pops have entries to chew on.
     prop_oneof![
         schedule.clone(),
         schedule,
-        (0usize..1024).prop_map(|i| Op::Cancel { i }),
         (1usize..40).prop_map(|n| Op::Pop { n }),
     ]
 }
@@ -54,15 +50,11 @@ proptest! {
     })]
 
     #[test]
-    fn wheel_equals_heap_under_schedule_cancel_pop_churn(
+    fn wheel_equals_heap_under_schedule_pop_churn(
         ops in proptest::collection::vec(op_strategy(), 1..120),
     ) {
         let mut wheel = EventQueue::new();
         let mut heap = ReferenceQueue::new();
-        // Parallel key tracking: index i holds the same logical event's
-        // key in each queue.
-        let mut wheel_keys = Vec::new();
-        let mut heap_keys = Vec::new();
         let mut payload = 0u64;
         for op in &ops {
             match *op {
@@ -70,17 +62,9 @@ proptest! {
                     let t = SimTime::from_micros(
                         SCALES[scale as usize].saturating_mul(mult) + off,
                     );
-                    wheel_keys.push(wheel.schedule_keyed(t, payload));
-                    heap_keys.push(heap.schedule_keyed(t, payload));
+                    wheel.schedule(t, payload);
+                    heap.schedule(t, payload);
                     payload += 1;
-                }
-                Op::Cancel { i } => {
-                    if !wheel_keys.is_empty() {
-                        let i = i % wheel_keys.len();
-                        let a = wheel.cancel(wheel_keys.swap_remove(i));
-                        let b = heap.cancel(heap_keys.swap_remove(i));
-                        prop_assert_eq!(a, b, "cancel liveness diverged");
-                    }
                 }
                 Op::Pop { n } => {
                     for _ in 0..n {
@@ -94,7 +78,7 @@ proptest! {
                     }
                 }
             }
-            prop_assert_eq!(wheel.live_len(), heap.live_len());
+            prop_assert_eq!(wheel.len(), heap.len());
             prop_assert_eq!(wheel.is_empty(), heap.is_empty());
         }
         // Drain both to the end: every remaining event must agree.
@@ -109,39 +93,32 @@ proptest! {
     }
 }
 
-/// Regression: cancelling an event whose timestamp sits *exactly* on a
-/// cascade boundary (a multiple of 64^k µs, where it waits in a level-k
-/// bucket until the cursor reaches the boundary and cascades it down).
-/// The tombstone must ride the cascade and be discarded when it
-/// surfaces — without perturbing the order of its boundary neighbors.
+/// Regression: same-time events sitting *exactly* on a cascade boundary
+/// (a multiple of 64^k µs, where they wait in a level-k bucket until the
+/// cursor reaches the boundary and cascades them down) must keep their
+/// FIFO order through the cascade, and must not be reordered against
+/// their neighbors on either side of the boundary.
 #[test]
-fn cancel_exactly_on_cascade_boundary_is_discarded_in_order() {
+fn same_time_fifo_survives_every_cascade_boundary() {
     // Every level boundary of the 64-slot wheel, plus the wheel-span
-    // boundary where the entry starts out in the overflow heap.
+    // boundary where the entries start out in the overflow heap.
     for boundary in [64u64, 4_096, 262_144, 1 << 24, 1 << 42] {
         let mut q = EventQueue::new();
         let mut r = ReferenceQueue::new();
-        let mut q_cancel = Vec::new();
-        let mut r_cancel = Vec::new();
-        // Neighbors straddling the boundary, the boundary event itself
-        // (to be cancelled), and a same-time survivor scheduled later —
-        // the cancelled entry and the survivor share a bucket, so the
-        // discard must not disturb FIFO order within it.
-        for t in [1, boundary - 1, boundary, boundary + 1, boundary] {
-            if t == boundary {
-                q_cancel.push(q.schedule_keyed(SimTime::from_micros(t), t));
-                r_cancel.push(r.schedule_keyed(SimTime::from_micros(t), t));
-            } else {
-                q.schedule(SimTime::from_micros(t), t);
-                r.schedule(SimTime::from_micros(t), t);
-            }
+        // Neighbors straddling the boundary, interleaved with two events
+        // *at* the boundary: both share one bucket and must pop in
+        // scheduling order.
+        let schedule = [
+            (1, "first"),
+            (boundary - 1, "before"),
+            (boundary, "tied-a"),
+            (boundary + 1, "after"),
+            (boundary, "tied-b"),
+        ];
+        for (t, e) in schedule {
+            q.schedule(SimTime::from_micros(t), e);
+            r.schedule(SimTime::from_micros(t), e);
         }
-        // Cancel the *first* boundary event; the second (same time,
-        // later seq) must still fire.
-        assert!(q.cancel(q_cancel[0]), "boundary {boundary}: key was live");
-        assert!(r.cancel(r_cancel[0]));
-        // Pop one event so the cursor starts advancing toward the
-        // boundary, then cancel nothing else and drain.
         let mut popped = Vec::new();
         while let Some((t, e)) = q.pop() {
             let (rt, re) = r.pop().expect("reference agrees on length");
@@ -151,10 +128,9 @@ fn cancel_exactly_on_cascade_boundary_is_discarded_in_order() {
         assert_eq!(r.pop(), None);
         assert_eq!(
             popped,
-            vec![1, boundary - 1, boundary, boundary + 1],
-            "boundary {boundary}: cancelled entry leaked or survivor lost"
+            vec!["first", "before", "tied-a", "tied-b", "after"],
+            "boundary {boundary}: same-time order broken"
         );
         assert!(q.is_empty());
-        assert_eq!(q.tombstoned_len(), 0, "tombstone was discarded");
     }
 }
