@@ -7,7 +7,7 @@ use std::hint::black_box;
 use cpsim_des::{EventQueue, SimTime, Streams};
 use cpsim_inventory::{DatastoreSpec, HostSpec, Inventory, VmSpec};
 use cpsim_mgmt::{CloneMode, ControlPlane, ControlPlaneConfig, Emit, MgmtEvent, OpKind, Placer};
-use cpsim_storage::{StoragePool, TemplateResidency};
+use cpsim_storage::StoragePool;
 
 /// An inventory of `hosts` hosts spread across `hosts / 64` datastores
 /// (min 1), every host connected to every datastore.
@@ -32,23 +32,19 @@ fn bench_placement_scan(c: &mut Criterion) {
     // scan grew linearly.
     for &hosts in &[64usize, 1024, 10_240] {
         let inv = placement_fixture(hosts);
-        let residency = TemplateResidency::new();
         g.bench_function(format!("decide-{hosts}-hosts"), |b| {
-            let mut placer = Placer::default();
-            b.iter(|| black_box(placer.place(&inv, &residency, 10.0, 1024, None)));
+            b.iter(|| black_box(Placer.place(&inv, 10.0, 1024)));
         });
     }
     // Decision + index maintenance under churn: place, create the VM on
     // the chosen pair (re-keying host and datastore), destroy it again.
     for &hosts in &[1024usize, 10_240] {
         let mut inv = placement_fixture(hosts);
-        let residency = TemplateResidency::new();
         g.bench_function(format!("place-churn-{hosts}-hosts"), |b| {
-            let mut placer = Placer::default();
             let mut n = 0u64;
             b.iter(|| {
-                let (host, ds) = placer
-                    .place(&inv, &residency, 10.0, 1024, None)
+                let (host, ds) = Placer
+                    .place(&inv, 10.0, 1024)
                     .expect("fixture has capacity");
                 n += 1;
                 let vm = inv

@@ -4,7 +4,7 @@
 use cpsim_cloud::{CloudDirector, ProvisioningPolicy};
 use cpsim_des::{SimTime, Streams};
 use cpsim_faults::FaultPlan;
-use cpsim_federation::{CloudStack, Forward};
+use cpsim_federation::{install_templates, CloudStack, Forward};
 use cpsim_inventory::{DatastoreId, DatastoreSpec, HostId, HostSpec, VmId, VmSpec};
 use cpsim_mgmt::{ControlPlane, ControlPlaneConfig};
 use cpsim_workload::{Profile, RequestGenerator, Topology, WorkloadSpec};
@@ -174,26 +174,14 @@ fn materialize_topology(
         }
     }
 
-    let mut templates = Vec::new();
-    for (i, (name, vcpus, mem_mb, disk_gb)) in topology.templates.iter().enumerate() {
-        let host = hosts[i % hosts.len()];
-        let home_ds = datastores[i % datastores.len()];
-        let spec = VmSpec::new(*vcpus, *mem_mb, *disk_gb);
-        let template = plane
-            .install_template(name, spec, host, home_ds)
-            .unwrap_or_else(|e| panic!("installing template {name}: {e}"));
-        if topology.seed_templates_everywhere {
-            for &ds in &datastores {
-                if ds != home_ds {
-                    plane
-                        .seed_template_now(template, ds)
-                        .unwrap_or_else(|e| panic!("seeding template {name}: {e}"));
-                }
-            }
-        }
-        director.register_template(template);
-        templates.push(template);
-    }
+    let templates = install_templates(
+        plane,
+        director,
+        &topology.templates,
+        &hosts,
+        &datastores,
+        topology.seed_templates_everywhere,
+    );
 
     // Pre-provisioned population (enterprise baseline).
     if topology.initial_vapps > 0 {

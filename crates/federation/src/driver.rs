@@ -50,6 +50,11 @@ use crate::turnstile::StoreCell;
 /// operations; the cloud director never sees their reports.
 pub const MIG_TAG_BASE: u64 = 1 << 60;
 
+/// Latency of a cross-shard migration's placement-store handoff: the
+/// reserved capacity changes owner this long after the source shard's
+/// evacuation completes.
+const HANDOFF_DELAY: SimDuration = SimDuration::from_millis(500);
+
 /// Events on one shard's private queue.
 #[derive(Debug)]
 pub enum ShardEvent {
@@ -262,7 +267,6 @@ pub struct MigrationReport {
 /// its own event queue, ordered after every real shard at equal time.
 struct Coordinator {
     queue: EventQueue<CoordEvent>,
-    handoff_delay: SimDuration,
     /// In-flight migrations by id. Accessed by key only (get / insert /
     /// remove / len); completion order is recorded in `reports`.
     // cpsim-lint: allow(no-unordered-iteration): keyed access only; never iterated
@@ -298,7 +302,6 @@ impl FedSim {
         setups: Vec<ShardSetup>,
         cell: Arc<StoreCell>,
         staleness: SimDuration,
-        handoff_delay: SimDuration,
     ) -> Self {
         let shard_count = setups.len();
         let mut shard_sims = Vec::with_capacity(shard_count);
@@ -344,7 +347,6 @@ impl FedSim {
             shard_sims,
             coord: Coordinator {
                 queue: EventQueue::new(),
-                handoff_delay,
                 migrations: FastMap::default(),
                 next_migration_id: 0,
                 reports: Vec::new(),
@@ -464,10 +466,9 @@ impl FedSim {
         let succeeded = r.error.is_none() && !r.aborted;
         if s == m.src && r.kind == "destroy-vm" {
             if succeeded {
-                self.coord.queue.schedule(
-                    now + self.coord.handoff_delay,
-                    CoordEvent::MigrateHandoff(id),
-                );
+                self.coord
+                    .queue
+                    .schedule(now + HANDOFF_DELAY, CoordEvent::MigrateHandoff(id));
             } else {
                 self.coord.migrations.remove(&id);
                 self.coord.reports.push(MigrationReport {
@@ -639,7 +640,7 @@ impl FedSim {
     /// shard `dst` at `at`, returning its migration id.
     ///
     /// The protocol is evacuate (destroy on `src`) → placement-store
-    /// handoff (after the configured delay) → admit (linked clone of
+    /// handoff (after a fixed 500 ms delay) → admit (linked clone of
     /// `dst`'s first template). The outcome lands in
     /// [`migration_reports`](FedSim::migration_reports). Scheduling a
     /// migration pins the rest of the run to the sequential executor.

@@ -54,7 +54,7 @@ pub mod turnstile;
 pub use driver::{FedSim, MigrationReport, ShardEvent, MIG_TAG_BASE};
 pub use gate::StoreGate;
 pub use router::{Router, RouterPolicy};
-pub use scenario::{FedScenario, FedTopology};
+pub use scenario::{install_templates, FedScenario, FedTopology};
 pub use stack::{CloudStack, Forward, ReportHook, StackEvent};
 pub use store::{OpenCommit, PlacementStore, StoreStats};
 pub use turnstile::StoreCell;

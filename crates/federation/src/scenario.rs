@@ -8,7 +8,7 @@ use std::sync::Arc;
 use cpsim_cloud::{CloudDirector, ProvisioningPolicy};
 use cpsim_des::{SimDuration, Streams};
 use cpsim_faults::RecoveryPolicy;
-use cpsim_inventory::{DatastoreSpec, HostSpec, VmSpec};
+use cpsim_inventory::{DatastoreId, DatastoreSpec, HostId, HostSpec, VmId, VmSpec};
 use cpsim_mgmt::{CloneMode, ControlPlane, ControlPlaneConfig};
 
 use crate::driver::{FedSim, ShardSetup};
@@ -73,7 +73,6 @@ pub struct FedScenario {
     topology: FedTopology,
     policy: ProvisioningPolicy,
     staleness: SimDuration,
-    handoff_delay: SimDuration,
     recovery: RecoveryPolicy,
 }
 
@@ -93,7 +92,6 @@ impl FedScenario {
                 ..Default::default()
             },
             staleness: SimDuration::from_secs(10),
-            handoff_delay: SimDuration::from_millis(500),
             recovery: RecoveryPolicy::default(),
         }
     }
@@ -126,13 +124,6 @@ impl FedScenario {
     /// mirrored view of the shared pool (default 10 s).
     pub fn staleness(mut self, window: SimDuration) -> Self {
         self.staleness = window;
-        self
-    }
-
-    /// Sets the placement-store handoff latency of a cross-shard
-    /// migration (default 500 ms).
-    pub fn handoff_delay(mut self, delay: SimDuration) -> Self {
-        self.handoff_delay = delay;
         self
     }
 
@@ -232,24 +223,14 @@ impl FedScenario {
                 }
             }
 
-            let mut templates = Vec::new();
-            for (i, (name, vcpus, mem_mb, disk_gb)) in t.templates.iter().enumerate() {
-                let host = hosts[i % hosts.len()];
-                let home_ds = datastores[i % datastores.len()];
-                let spec = VmSpec::new(*vcpus, *mem_mb, *disk_gb);
-                let template = plane
-                    .install_template(name, spec, host, home_ds)
-                    .unwrap_or_else(|e| panic!("installing template {name}: {e}"));
-                for &ds in &datastores {
-                    if ds != home_ds {
-                        plane
-                            .seed_template_now(template, ds)
-                            .unwrap_or_else(|e| panic!("seeding template {name}: {e}"));
-                    }
-                }
-                director.register_template(template);
-                templates.push(template);
-            }
+            let templates = install_templates(
+                &mut plane,
+                &mut director,
+                &t.templates,
+                &hosts,
+                &datastores,
+                true,
+            );
             let org = director.create_org("default-org");
 
             // Pre-installed population on home inventory only (skew).
@@ -321,6 +302,49 @@ impl FedScenario {
             }
         }
 
-        FedSim::assemble(setups, cell, self.staleness, self.handoff_delay)
+        FedSim::assemble(setups, cell, self.staleness)
     }
+}
+
+/// Installs each template `(name, vcpus, mem_mb, disk_gb)` on host
+/// `i % hosts` and datastore `i % datastores`, optionally seeds it on
+/// every other datastore at once, and registers it with the director.
+/// Returns the template ids in order.
+///
+/// Both scenario builders materialize templates through this one loop,
+/// so a one-shard federation and the single-plane model install the same
+/// templates in the same order.
+///
+/// # Panics
+///
+/// Panics if a template does not fit where it is installed or seeded.
+pub fn install_templates(
+    plane: &mut ControlPlane,
+    director: &mut CloudDirector,
+    templates: &[(String, u32, u64, f64)],
+    hosts: &[HostId],
+    datastores: &[DatastoreId],
+    seed_everywhere: bool,
+) -> Vec<VmId> {
+    let mut ids = Vec::with_capacity(templates.len());
+    for (i, (name, vcpus, mem_mb, disk_gb)) in templates.iter().enumerate() {
+        let host = hosts[i % hosts.len()];
+        let home_ds = datastores[i % datastores.len()];
+        let spec = VmSpec::new(*vcpus, *mem_mb, *disk_gb);
+        let template = plane
+            .install_template(name, spec, host, home_ds)
+            .unwrap_or_else(|e| panic!("installing template {name}: {e}"));
+        if seed_everywhere {
+            for &ds in datastores {
+                if ds != home_ds {
+                    plane
+                        .seed_template_now(template, ds)
+                        .unwrap_or_else(|e| panic!("seeding template {name}: {e}"));
+                }
+            }
+        }
+        director.register_template(template);
+        ids.push(template);
+    }
+    ids
 }

@@ -6,7 +6,7 @@
 //! - **R7 panic-reachability**: BFS closure from the declared hot entry
 //!   points ([`crate::resolve::HOT_ENTRY_POINTS`]); any panic-capable site
 //!   in a reachable fn body is a violation, whatever crate it lives in.
-//!   This replaces the PR-4 hand-maintained `HOT_PATH_FILES` list —
+//!   This replaces the older hand-maintained hot-path file list —
 //!   reachability, not file membership, decides what "hot" means.
 //! - **R8 RNG stream discipline**: raw seeding constructors are confined
 //!   to the stream-source module (`impl Streams`), streams may not be

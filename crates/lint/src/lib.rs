@@ -60,31 +60,6 @@ pub const SIM_CRATES: &[&str] = &[
 /// Directories checked under the looser harness profile (workspace-relative).
 pub const HARNESS_DIRS: &[&str] = &["crates/bench/src", "src", "examples"];
 
-/// The PR-4-era hand-maintained hot-path file list.
-///
-/// Workspace scans no longer consult it: R7 (`panic-reachability`) computes
-/// the hot set as the call-graph closure of
-/// [`resolve::HOT_ENTRY_POINTS`]. The list is retained as a *regression
-/// floor* — the selfcheck suite asserts every file named here still
-/// contains a fn inside R7's computed closure, so the graph can never
-/// silently cover less than the old list did. `--hot` single-file scans
-/// (R5) still work for fixtures and ad-hoc audits.
-///
-/// Re-audit note: the list once named `crates/des/src/queue.rs`. The
-/// graph showed its payload-side cancellation tokens had no non-test
-/// callers, so the file left the list and later the tree, together with
-/// the wheel's keyed cancellation: the model guards superseded timers
-/// with an epoch in the event payload instead.
-pub const HOT_PATH_FILES: &[&str] = &[
-    "crates/des/src/engine.rs",
-    "crates/des/src/wheel.rs",
-    "crates/federation/src/runner.rs",
-    "crates/federation/src/turnstile.rs",
-    "crates/mgmt/src/admission.rs",
-    "crates/mgmt/src/placement.rs",
-    "crates/mgmt/src/plane.rs",
-];
-
 /// How a file's profile directive is policed during a workspace scan.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum ProfilePolicy {
@@ -108,7 +83,6 @@ pub fn scan_source(
     src: &SourceFile,
     default_profile: Profile,
     policy: ProfilePolicy,
-    hot_path: bool,
     enabled: &[RuleId],
     extra: &[(RuleId, rules::RawViolation)],
 ) -> FileReport {
@@ -209,7 +183,7 @@ pub fn scan_source(
         }
     };
     for &rule in enabled {
-        if rule == RuleId::LintDirective || !rule.applies(profile, hot_path) {
+        if rule == RuleId::LintDirective || !rule.applies(profile) {
             continue;
         }
         for raw in rules::check(src, rule) {
@@ -217,7 +191,7 @@ pub fn scan_source(
         }
     }
     for (rule, raw) in extra {
-        if !enabled.contains(rule) || !rule.applies(profile, hot_path) {
+        if !enabled.contains(rule) || !rule.applies(profile) {
             continue;
         }
         consider(
@@ -234,7 +208,6 @@ pub fn scan_source(
     FileReport {
         path: src.rel.clone(),
         profile,
-        hot_path,
         violations,
         suppressed,
     }
@@ -257,7 +230,6 @@ fn is_suppressed(src: &SourceFile, rule: RuleId, line: usize) -> bool {
 pub fn scan_path(
     path: &Path,
     default_profile: Profile,
-    hot_path: bool,
     enabled: &[RuleId],
 ) -> io::Result<FileReport> {
     let text = std::fs::read_to_string(path)?;
@@ -267,7 +239,6 @@ pub fn scan_path(
         &src,
         default_profile,
         ProfilePolicy::Honor,
-        hot_path,
         enabled,
         &[],
     ))
@@ -279,7 +250,6 @@ pub fn scan_path(
 pub fn scan_files(
     paths: &[PathBuf],
     default_profile: Profile,
-    hot_path: bool,
     enabled: &[RuleId],
     cfg: &graph_rules::GraphConfig,
 ) -> io::Result<Vec<FileReport>> {
@@ -295,16 +265,7 @@ pub fn scan_files(
     Ok(srcs
         .iter()
         .zip(extras.iter())
-        .map(|(src, extra)| {
-            scan_source(
-                src,
-                default_profile,
-                ProfilePolicy::Honor,
-                hot_path,
-                enabled,
-                extra,
-            )
-        })
+        .map(|(src, extra)| scan_source(src, default_profile, ProfilePolicy::Honor, enabled, extra))
         .collect())
 }
 
@@ -415,7 +376,7 @@ pub fn run_workspace_with(
     let files = loaded
         .iter()
         .zip(extras.iter())
-        .map(|(f, extra)| scan_source(&f.src, f.profile, f.policy, false, enabled, extra))
+        .map(|(f, extra)| scan_source(&f.src, f.profile, f.policy, enabled, extra))
         .collect();
     Ok(Report {
         root: root.to_path_buf(),

@@ -5,7 +5,7 @@
 //! cargo run -p cpsim-lint -- --check --format json   # machine-readable
 //! cargo run -p cpsim-lint -- --list-rules
 //! cargo run -p cpsim-lint -- --rules no-wall-clock,no-ambient-rng --check
-//! cargo run -p cpsim-lint -- --profile sim --hot path/to/file.rs
+//! cargo run -p cpsim-lint -- --profile sim path/to/file.rs
 //! ```
 //!
 //! Exit codes: 0 clean, 1 violations found, 2 usage or I/O error.
@@ -27,7 +27,6 @@ struct Args {
     graph_dump: bool,
     r7_index: bool,
     profile: Profile,
-    hot: bool,
     paths: Vec<PathBuf>,
 }
 
@@ -41,7 +40,6 @@ fn parse_args() -> Result<Args, String> {
         graph_dump: false,
         r7_index: false,
         profile: Profile::Sim,
-        hot: false,
         paths: Vec::new(),
     };
     let mut it = std::env::args().skip(1);
@@ -85,7 +83,6 @@ fn parse_args() -> Result<Args, String> {
                 args.profile = Profile::from_name(&v)
                     .ok_or_else(|| format!("unknown profile `{v}` (sim|harness)"))?;
             }
-            "--hot" => args.hot = true,
             "--help" | "-h" => {
                 args.help = true;
                 return Ok(args);
@@ -111,7 +108,7 @@ fn main() -> ExitCode {
              USAGE: cpsim-lint [--check] [--format text|json] [--root DIR]\n\
                     [--rules r1,r2,... | --rules no-wall-clock,...]\n\
                     [--list-rules] [--graph-dump] [--r7-index]\n\
-                    [--profile sim|harness] [--hot] [FILES...]\n\n\
+                    [--profile sim|harness] [FILES...]\n\n\
              With FILES, scans those files as one unit under --profile (a\n\
              symbol graph is built over the set, so R7-R9 see cross-file\n\
              call chains; profile directives in the files are honored);\n\
@@ -172,7 +169,7 @@ fn main() -> ExitCode {
             }
         }
     } else {
-        match scan_files(&args.paths, args.profile, args.hot, &args.rules, &cfg) {
+        match scan_files(&args.paths, args.profile, &args.rules, &cfg) {
             Ok(files) => Report {
                 root: PathBuf::from("."),
                 files,

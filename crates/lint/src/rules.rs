@@ -10,7 +10,7 @@ use crate::source::{Profile, SourceFile};
 /// Minimum `.expect("...")` message length (chars) accepted on a hot path.
 ///
 /// An `expect` whose message cites the invariant that makes the panic
-/// unreachable is the sanctioned in-band form of R5 suppression; terse
+/// unreachable is the sanctioned in-band form of R7 suppression; terse
 /// markers like `"live"` or `"checked"` document nothing.
 pub const MIN_EXPECT_MSG_CHARS: usize = 8;
 
@@ -25,8 +25,6 @@ pub enum RuleId {
     NoUnorderedIteration,
     /// R4: no raw float ordering (`partial_cmp`) — use `total_cmp`.
     NoRawFloatOrd,
-    /// R5: no panics (`unwrap`, bare `expect`, `panic!`) on hot paths.
-    NoPanicHotPath,
     /// R6: no stdout/stderr printing from library crates.
     NoStdoutInLibs,
     /// R7: no panic reachable from a declared hot entry point (call-graph
@@ -48,7 +46,6 @@ pub const ALL_RULES: &[RuleId] = &[
     RuleId::NoAmbientRng,
     RuleId::NoUnorderedIteration,
     RuleId::NoRawFloatOrd,
-    RuleId::NoPanicHotPath,
     RuleId::NoStdoutInLibs,
     RuleId::PanicReachability,
     RuleId::RngStreamDiscipline,
@@ -64,7 +61,6 @@ impl RuleId {
             RuleId::NoAmbientRng => "no-ambient-rng",
             RuleId::NoUnorderedIteration => "no-unordered-iteration",
             RuleId::NoRawFloatOrd => "no-raw-float-ord",
-            RuleId::NoPanicHotPath => "no-panic-hot-path",
             RuleId::NoStdoutInLibs => "no-stdout-in-libs",
             RuleId::PanicReachability => "panic-reachability",
             RuleId::RngStreamDiscipline => "rng-stream-discipline",
@@ -82,7 +78,6 @@ impl RuleId {
             RuleId::NoAmbientRng => "R2",
             RuleId::NoUnorderedIteration => "R3",
             RuleId::NoRawFloatOrd => "R4",
-            RuleId::NoPanicHotPath => "R5",
             RuleId::NoStdoutInLibs => "R6",
             RuleId::PanicReachability => "R7",
             RuleId::RngStreamDiscipline => "R8",
@@ -115,9 +110,6 @@ impl RuleId {
             RuleId::NoRawFloatOrd => {
                 "partial_cmp on floats is partial and NaN-unsafe: ordering must use f64::total_cmp"
             }
-            RuleId::NoPanicHotPath => {
-                "dispatch/queue/admission/placement hot paths must not panic: use typed errors or an invariant-citing expect"
-            }
             RuleId::NoStdoutInLibs => {
                 "library crates must not print: output flows through metrics tables and the bench harness"
             }
@@ -136,12 +128,12 @@ impl RuleId {
         }
     }
 
-    /// Whether the rule runs for a file with this profile / hot-path flag.
+    /// Whether the rule runs for a file with this profile.
     ///
     /// The harness profile keeps only the rules whose violation would leak
     /// into experiment *results* (seeding, float ordering): the harness is
     /// supposed to read the wall clock, keep scratch maps, and print.
-    pub fn applies(self, profile: Profile, hot_path: bool) -> bool {
+    pub fn applies(self, profile: Profile) -> bool {
         match self {
             RuleId::NoAmbientRng | RuleId::NoRawFloatOrd | RuleId::LintDirective => true,
             RuleId::NoWallClock | RuleId::NoUnorderedIteration | RuleId::NoStdoutInLibs => {
@@ -152,7 +144,6 @@ impl RuleId {
             RuleId::PanicReachability | RuleId::RngStreamDiscipline | RuleId::StoreProtocol => {
                 profile == Profile::Sim
             }
-            RuleId::NoPanicHotPath => profile == Profile::Sim && hot_path,
         }
     }
 }
@@ -282,13 +273,6 @@ pub fn check(file: &SourceFile, rule: RuleId) -> Vec<RawViolation> {
                 push(i, "raw float ordering via `partial_cmp`; use `f64::total_cmp` for a total, NaN-safe order".to_string());
             }
         }
-        RuleId::NoPanicHotPath => {
-            for (i, desc) in panic_sites(file, 0, code.len()) {
-                push(i, format!(
-                    "{desc} on a hot path; return a typed error, or use an `.expect(\"<invariant>\")` citing why it cannot fail"
-                ));
-            }
-        }
         RuleId::NoStdoutInLibs => {
             for w in ["println", "eprintln", "print", "eprint", "dbg"] {
                 for i in word_occurrences(code, w) {
@@ -315,9 +299,9 @@ pub fn check(file: &SourceFile, rule: RuleId) -> Vec<RawViolation> {
 /// `.unwrap()`, the `panic!` macro family, and `.expect("...")` whose
 /// message is too short to cite the invariant making it unreachable.
 ///
-/// Shared by R5 (whole hot files, `--hot` scans) and R7 (bodies of fns in
-/// the hot entry-point closure). Returns `(byte, description)` pairs; the
-/// caller supplies rule-specific advice.
+/// R7 runs it over the bodies of fns in the hot entry-point closure.
+/// Returns `(byte, description)` pairs; the caller supplies rule-specific
+/// advice.
 pub(crate) fn panic_sites(file: &SourceFile, start: usize, end: usize) -> Vec<(usize, String)> {
     let code = &file.code;
     let cb = code.as_bytes();

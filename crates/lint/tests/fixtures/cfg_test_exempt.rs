@@ -1,6 +1,8 @@
 //! Test-code exemption fixture: the same hazards inside `#[cfg(test)]` and
 //! `#[test]` items are test-code, not simulation code, and must not fire.
-//! Scanned with hot_path = true so R5 would apply if not exempt.
+//! The test-gated `EventQueue::pop` is a declared hot entry point, so its
+//! `unwrap` would be an R7 panic-reachability hit if test code were not
+//! exempt.
 
 fn shipping_code() -> u32 {
     42
@@ -16,6 +18,14 @@ mod tests {
         let mut m = HashMap::new();
         m.insert("k", rand::thread_rng().gen::<f64>());
         println!("{:?} {:?}", t.elapsed(), m.get("k").unwrap());
+    }
+
+    pub struct EventQueue;
+
+    impl EventQueue {
+        pub fn pop(&mut self, v: Option<u32>) -> u32 {
+            v.unwrap()
+        }
     }
 }
 

@@ -19,10 +19,15 @@ pub fn code_after_raw_strings_is_still_scanned() {
     let _ = m;
 }
 
-pub fn raw_string_expect_messages_are_checked(v: Option<u32>) -> u32 {
-    // Short raw-string message: fires on a hot path.
-    let a = v.expect(r"no");
-    // Invariant-citing raw-string message: sanctioned.
-    let b = v.expect(r#"caller checked is_some() before dispatch"#);
-    a + b
+pub struct EventQueue;
+
+impl EventQueue {
+    /// A declared hot entry point, so R7 checks its expect messages.
+    pub fn pop(&mut self, v: Option<u32>) -> u32 {
+        // Short raw-string message: fires on a hot path.
+        let a = v.expect(r"no");
+        // Invariant-citing raw-string message: sanctioned.
+        let b = v.expect(r#"caller checked is_some() before dispatch"#);
+        a + b
+    }
 }

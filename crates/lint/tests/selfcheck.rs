@@ -91,15 +91,17 @@ fn every_in_tree_suppression_carries_a_reason() {
     // the two FastMap/FastSet alias definitions, the keyed-only FastMap
     // fields (director workflows/ctx, federation migrations/reservations,
     // fleet agents, plane transfer owners, admission gates, stats phase
-    // totals), one admission lock panic, and one clone-mode unreachable.
+    // totals), and one admission lock panic.
     // The R7 re-audit deleted the shared-lock unreachable in
     // `AdmissionControl::try_acquire` (restructured into the sibling
     // arms' sanctioned `assert!` form), lowering the bound from 15;
     // deleting the event queues' keyed cancellation removed their two
-    // seq-set allows, lowering it from 14. Growing this number should be
-    // a conscious choice.
+    // seq-set allows, lowering it from 14; restructuring the clone
+    // program's placement stage removed its clone-mode unreachable,
+    // lowering it from 12. Growing this number should be a conscious
+    // choice.
     assert!(
-        allows <= 12,
+        allows <= 11,
         "suppression count grew to {allows}; audit new allows before raising this bound"
     );
 }
@@ -120,11 +122,28 @@ fn hot_entry_points_all_resolve() {
     assert!(!entries.is_empty());
 }
 
+/// The hand-maintained hot-path file list that predates R7's call graph,
+/// kept as a regression floor: the graph must never cover less than it.
+///
+/// Re-audit note: the list once named `crates/des/src/queue.rs`. The
+/// graph showed its payload-side cancellation tokens had no non-test
+/// callers, so the file left the list and later the tree, together with
+/// the wheel's keyed cancellation: the model guards superseded timers
+/// with an epoch in the event payload instead.
+const HOT_PATH_FILES: &[&str] = &[
+    "crates/des/src/engine.rs",
+    "crates/des/src/wheel.rs",
+    "crates/federation/src/runner.rs",
+    "crates/federation/src/turnstile.rs",
+    "crates/mgmt/src/admission.rs",
+    "crates/mgmt/src/placement.rs",
+    "crates/mgmt/src/plane.rs",
+];
+
 #[test]
 fn r7_closure_subsumes_the_legacy_hot_path_list() {
-    // The hand-maintained PR-4 list is kept as a regression floor: every
-    // file it names must still contain at least one fn inside the
-    // graph-computed hot closure.
+    // Every file the legacy list names must still contain at least one fn
+    // inside the graph-computed hot closure.
     let loaded = cpsim_lint::load_workspace(&workspace_root()).expect("load workspace");
     let (g, sim_idx) = cpsim_lint::build_graph(&loaded);
     let rels: Vec<&str> = sim_idx
@@ -133,7 +152,7 @@ fn r7_closure_subsumes_the_legacy_hot_path_list() {
         .collect();
     let (entries, _) = cpsim_lint::resolve::entry_fns(&g, cpsim_lint::resolve::HOT_ENTRY_POINTS);
     let closure = g.reachable_from(&entries);
-    for hot_file in cpsim_lint::HOT_PATH_FILES {
+    for hot_file in HOT_PATH_FILES {
         let covered = g
             .fns
             .iter()

@@ -119,16 +119,6 @@ pub struct ControlPlaneConfig {
     /// shards, multiplying CPU and DB capacity (scale-out ablation,
     /// modeled as `shards`× larger resource pools).
     pub shards: u32,
-    /// Whether DB writes of one task are batched into fewer, larger
-    /// statements (ablation; reduces DB statements per op).
-    pub db_batching: bool,
-    /// Whether placement prefers datastores where the clone source is
-    /// already resident. The era-accurate default is `false`: placement
-    /// spreads by free space and linked clones shadow-copy on first use of
-    /// a datastore — the behavior that makes proactive template seeding
-    /// (cloud reconfiguration) valuable. Set `true` for the
-    /// residency-aware placement ablation.
-    pub placement_prefers_resident: bool,
 }
 
 impl Default for ControlPlaneConfig {
@@ -145,8 +135,6 @@ impl Default for ControlPlaneConfig {
             linked_metadata_bytes: 16.0 * 1024.0 * 1024.0,
             snapshot_delta_gb: 0.5,
             shards: 1,
-            db_batching: false,
-            placement_prefers_resident: false,
         }
     }
 }

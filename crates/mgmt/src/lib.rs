@@ -72,7 +72,7 @@ pub use config::{AdmissionLimits, ControlCostModel, ControlPlaneConfig};
 pub use cpsim_faults::{FaultKind, RecoveryPolicy};
 pub use gate::{GateDecision, PlacementGate};
 pub use op::{AddHostParams, CloneMode, OpKind, Operation};
-pub use placement::{PlacementPolicy, Placer};
+pub use placement::Placer;
 pub use plane::{ControlPlane, Emit, MgmtEvent};
 pub use recovery::FaultInjector;
 pub use stats::MgmtStats;

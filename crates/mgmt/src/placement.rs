@@ -11,87 +11,31 @@
 //! and the indexed path is property-tested against the straightforward
 //! scan (`place_reference`) it replaced.
 
-use cpsim_inventory::{DatastoreId, HostId, Inventory, VmId};
-use cpsim_storage::TemplateResidency;
-use serde::{Deserialize, Serialize};
+use cpsim_inventory::{DatastoreId, HostId, Inventory};
 
-/// Placement policies.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub enum PlacementPolicy {
-    /// Least memory-utilized host; most-free-space datastore, preferring
-    /// datastores where the clone source is resident (linked clones avoid
-    /// shadow copies there).
-    #[default]
-    LeastLoaded,
-    /// Rotate across hosts (used by ablations to remove load awareness).
-    RoundRobin,
-}
-
-/// Stateful placement engine.
-#[derive(Clone, Debug, Default)]
-pub struct Placer {
-    policy: PlacementPolicy,
-    round_robin_cursor: usize,
-}
+/// The placement engine: the least memory-utilized host on the
+/// datastore with the most free space. Stateless; every decision reads
+/// the inventory's candidate indexes.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct Placer;
 
 impl Placer {
-    /// Creates a placer with `policy`.
-    pub fn new(policy: PlacementPolicy) -> Self {
-        Placer {
-            policy,
-            round_robin_cursor: 0,
-        }
-    }
-
-    /// The active policy.
-    pub fn policy(&self) -> PlacementPolicy {
-        self.policy
-    }
-
     /// Chooses `(host, datastore)` for a new VM needing `disk_gb` of space
     /// and `mem_mb` of memory headroom.
-    ///
-    /// `prefer_resident`: when provisioning a linked clone of a template,
-    /// datastores already holding the template's base are preferred.
     ///
     /// Returns `None` when no (connected host, datastore-with-space) pair
     /// exists.
     pub fn place(
-        &mut self,
+        &self,
         inv: &Inventory,
-        residency: &TemplateResidency,
         disk_gb: f64,
         mem_mb: u64,
-        prefer_resident: Option<VmId>,
     ) -> Option<(HostId, DatastoreId)> {
-        // Resident pass: a template lives on a handful of datastores at
-        // most, so sorting its residency list is cheap. Order matches the
-        // index: most free space first, lower id on ties.
-        if let Some(t) = prefer_resident {
-            let mut resident: Vec<(DatastoreId, f64)> = residency
-                .locations(t)
-                .filter_map(|ds_id| {
-                    let ds = inv.datastore(ds_id)?;
-                    (ds.free_gb() >= disk_gb && !ds.hosts.is_empty()).then(|| (ds_id, ds.free_gb()))
-                })
-                .collect();
-            resident.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-            for (ds, _) in resident {
-                if let Some(host) = self.pick_host(inv, ds, mem_mb, None) {
-                    return Some((host, ds));
-                }
-            }
-        }
-        // General pass: walk datastores most-free-first straight off the
-        // index; once one is too small, all remaining ones are too. A
-        // resident datastore that failed the host pick above is skipped —
-        // retrying it cannot succeed.
+        // Walk datastores most-free-first straight off the index; once one
+        // is too small, all remaining ones are too.
         for (ds, free) in inv.datastores_by_free() {
             if free < disk_gb {
                 break;
-            }
-            if matches!(prefer_resident, Some(t) if residency.is_resident(t, ds)) {
-                continue;
             }
             if let Some(host) = self.pick_host(inv, ds, mem_mb, None) {
                 return Some((host, ds));
@@ -100,51 +44,25 @@ impl Placer {
         None
     }
 
-    /// Chooses a migration destination for a VM on `exclude` needing
-    /// `mem_mb`, reachable from `ds`.
+    /// Chooses the least-loaded host reachable from `ds` with `mem_mb` of
+    /// headroom, skipping `exclude` (a migrating VM's current host).
     pub fn pick_host(
-        &mut self,
+        &self,
         inv: &Inventory,
         ds: DatastoreId,
         mem_mb: u64,
         exclude: Option<HostId>,
     ) -> Option<HostId> {
-        let eligible = |h: HostId| {
+        // The index iterates hosts in (memory pressure, registered-VM
+        // count, id) order — the first eligible one is the least loaded.
+        // The VM-count tiebreak matters: without it, a fleet of
+        // powered-off VMs would all pile onto the lowest host id.
+        inv.hosts_by_load(ds).find(|&h| {
             Some(h) != exclude
                 && inv
                     .host(h)
-                    .map(|host| host.accepts_placements() && host.mem_free_mb() >= mem_mb)
-                    .unwrap_or(false)
-        };
-        match self.policy {
-            // The index iterates hosts in (memory pressure, registered-VM
-            // count, id) order — the first eligible one is the least
-            // loaded. The VM-count tiebreak matters: without it, a fleet
-            // of powered-off VMs would all pile onto the lowest host id.
-            PlacementPolicy::LeastLoaded => inv.hosts_by_load(ds).find(|&h| eligible(h)),
-            // Round-robin depends on the datastore's connection order, not
-            // load order, so it scans the connection list directly.
-            PlacementPolicy::RoundRobin => {
-                let candidates: Vec<HostId> = inv
-                    .datastore(ds)?
-                    .hosts
-                    .iter()
-                    .copied()
-                    .filter(|&h| eligible(h))
-                    .collect();
-                if candidates.is_empty() {
-                    return None;
-                }
-                let pick = candidates[self.round_robin_cursor % candidates.len()];
-                self.round_robin_cursor = self.round_robin_cursor.wrapping_add(1);
-                Some(pick)
-            }
-        }
-    }
-
-    /// Placement CPU cost in seconds for an inventory of `hosts` hosts.
-    pub fn cost_secs(base_secs: f64, per_host_us: f64, hosts: usize) -> f64 {
-        base_secs + per_host_us * 1e-6 * hosts as f64
+                    .is_some_and(|host| host.accepts_placements() && host.mem_free_mb() >= mem_mb)
+        })
     }
 }
 
@@ -154,67 +72,43 @@ impl Placer {
     /// datastore, kept as the reference oracle the indexed path is
     /// property-tested against.
     pub fn place_reference(
-        &mut self,
+        &self,
         inv: &Inventory,
-        residency: &TemplateResidency,
         disk_gb: f64,
         mem_mb: u64,
-        prefer_resident: Option<VmId>,
     ) -> Option<(HostId, DatastoreId)> {
-        // Candidate datastores with space, split into resident-preferred
-        // and the rest.
-        let mut resident: Vec<(DatastoreId, f64)> = Vec::new();
-        let mut others: Vec<(DatastoreId, f64)> = Vec::new();
-        for (ds_id, ds) in inv.datastores() {
-            if ds.free_gb() < disk_gb || ds.hosts.is_empty() {
-                continue;
-            }
-            let bucket = match prefer_resident {
-                Some(t) if residency.is_resident(t, ds_id) => &mut resident,
-                _ => &mut others,
-            };
-            bucket.push((ds_id, ds.free_gb()));
-        }
-        // Try resident datastores first, then any; a resident datastore
-        // might have no eligible host, so fall through in preference
-        // order (most free space, lower id on ties).
-        for list in [&mut resident, &mut others] {
-            list.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-            for &(ds, _) in list.iter() {
-                if let Some(host) = self.pick_host_reference(inv, ds, mem_mb, None) {
-                    return Some((host, ds));
-                }
-            }
-        }
-        None
+        let mut candidates: Vec<(DatastoreId, f64)> = inv
+            .datastores()
+            .filter(|(_, ds)| ds.free_gb() >= disk_gb && !ds.hosts.is_empty())
+            .map(|(id, ds)| (id, ds.free_gb()))
+            .collect();
+        // Most free space first, lower id on ties; a datastore might have
+        // no eligible host, so fall through in that order.
+        candidates.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+        candidates
+            .into_iter()
+            .find_map(|(ds, _)| Some((self.pick_host_reference(inv, ds, mem_mb, None)?, ds)))
     }
 
     /// The pre-index host pick: collect-then-scan over the datastore's
     /// connection list.
     pub fn pick_host_reference(
-        &mut self,
+        &self,
         inv: &Inventory,
         ds: DatastoreId,
         mem_mb: u64,
         exclude: Option<HostId>,
     ) -> Option<HostId> {
-        let candidates: Vec<HostId> = inv
-            .datastore(ds)?
+        inv.datastore(ds)?
             .hosts
             .iter()
             .copied()
             .filter(|h| Some(*h) != exclude)
             .filter(|h| {
                 inv.host(*h)
-                    .map(|host| host.accepts_placements() && host.mem_free_mb() >= mem_mb)
-                    .unwrap_or(false)
+                    .is_some_and(|host| host.accepts_placements() && host.mem_free_mb() >= mem_mb)
             })
-            .collect();
-        if candidates.is_empty() {
-            return None;
-        }
-        match self.policy {
-            PlacementPolicy::LeastLoaded => candidates.into_iter().min_by(|a, b| {
+            .min_by(|a, b| {
                 let (ha, hb) = (
                     inv.host(*a).expect("filtered"),
                     inv.host(*b).expect("filtered"),
@@ -223,20 +117,14 @@ impl Placer {
                     .total_cmp(&hb.mem_utilization())
                     .then_with(|| ha.vms.len().cmp(&hb.vms.len()))
                     .then_with(|| a.cmp(b))
-            }),
-            PlacementPolicy::RoundRobin => {
-                let pick = candidates[self.round_robin_cursor % candidates.len()];
-                self.round_robin_cursor = self.round_robin_cursor.wrapping_add(1);
-                Some(pick)
-            }
-        }
+            })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cpsim_inventory::{DatastoreSpec, EntityId, HostSpec, VmSpec};
+    use cpsim_inventory::{DatastoreSpec, HostSpec, VmId, VmSpec};
 
     fn dc(hosts: usize, datastores: usize) -> (Inventory, Vec<HostId>, Vec<DatastoreId>) {
         let mut inv = Inventory::new();
@@ -264,43 +152,15 @@ mod tests {
                 .unwrap();
             inv.power_on(vm).unwrap();
         }
-        let mut p = Placer::new(PlacementPolicy::LeastLoaded);
-        let (host, _) = p
-            .place(&inv, &TemplateResidency::new(), 10.0, 1024, None)
-            .unwrap();
+        let (host, _) = Placer.place(&inv, 10.0, 1024).unwrap();
         assert_eq!(host, hosts[2]);
-    }
-
-    #[test]
-    fn prefers_resident_datastore_for_linked_clones() {
-        let (mut inv, hosts, ds) = dc(2, 3);
-        let template = inv
-            .create_vm("tmpl", VmSpec::new(1, 1024, 40.0), hosts[0], ds[0])
-            .unwrap();
-        // Make ds[2] hold a seeded copy; ds[1] has more free space but is
-        // not resident.
-        inv.adjust_datastore_usage(ds[2], 500.0).unwrap();
-        let mut residency = TemplateResidency::new();
-        let seeded_disk = cpsim_inventory::DiskId::from_parts(0, 1);
-        residency.seed(template, ds[2], seeded_disk);
-        let mut p = Placer::new(PlacementPolicy::LeastLoaded);
-        let (_, chosen) = p
-            .place(&inv, &residency, 10.0, 1024, Some(template))
-            .unwrap();
-        assert_eq!(chosen, ds[2], "resident datastore wins despite less space");
-        // Without the preference, the emptier datastore wins.
-        let (_, chosen) = p.place(&inv, &residency, 10.0, 1024, None).unwrap();
-        assert_ne!(chosen, ds[2]);
     }
 
     #[test]
     fn no_space_returns_none() {
         let (mut inv, _hosts, ds) = dc(1, 1);
         inv.adjust_datastore_usage(ds[0], 999.0).unwrap();
-        let mut p = Placer::default();
-        assert!(p
-            .place(&inv, &TemplateResidency::new(), 10.0, 1024, None)
-            .is_none());
+        assert!(Placer.place(&inv, 10.0, 1024).is_none());
     }
 
     #[test]
@@ -310,26 +170,13 @@ mod tests {
             .create_vm("big", VmSpec::new(8, 65_000, 10.0), hosts[0], ds[0])
             .unwrap();
         inv.power_on(vm).unwrap();
-        let mut p = Placer::default();
-        assert!(p
-            .place(&inv, &TemplateResidency::new(), 10.0, 10_000, None)
-            .is_none());
-    }
-
-    #[test]
-    fn round_robin_rotates() {
-        let (inv, hosts, ds) = dc(3, 1);
-        let mut p = Placer::new(PlacementPolicy::RoundRobin);
-        let picks: Vec<_> = (0..3)
-            .map(|_| p.pick_host(&inv, ds[0], 1024, None).unwrap())
-            .collect();
-        assert_eq!(picks, hosts);
+        assert!(Placer.place(&inv, 10.0, 10_000).is_none());
     }
 
     #[test]
     fn exclude_skips_source_host() {
         let (inv, hosts, ds) = dc(2, 1);
-        let mut p = Placer::default();
+        let p = Placer;
         let pick = p.pick_host(&inv, ds[0], 1024, Some(hosts[0])).unwrap();
         assert_eq!(pick, hosts[1]);
         // Excluding the only host yields none.
@@ -337,21 +184,12 @@ mod tests {
         assert!(p.pick_host(&inv1, ds1[0], 1024, Some(hosts1[0])).is_none());
     }
 
-    #[test]
-    fn cost_scales_with_hosts() {
-        let c64 = Placer::cost_secs(0.010, 200.0, 64);
-        let c1024 = Placer::cost_secs(0.010, 200.0, 1024);
-        assert!((c64 - 0.0228).abs() < 1e-9);
-        assert!(c1024 > 4.0 * c64);
-    }
-
     mod equivalence {
         //! The indexed placement path must decide exactly what the full
-        //! scan it replaced decides, across random inventories, residency
-        //! maps, and capacity churn.
+        //! scan it replaced decides, across random inventories and
+        //! capacity churn.
 
         use super::*;
-        use cpsim_inventory::DiskId;
         use proptest::prelude::*;
 
         #[derive(Clone, Debug)]
@@ -385,10 +223,6 @@ mod tests {
                 d: usize,
                 delta: i8,
             },
-            SeedResidency {
-                v: usize,
-                d: usize,
-            },
         }
 
         fn churn_strategy() -> impl Strategy<Value = Churn> {
@@ -402,14 +236,12 @@ mod tests {
                 (0usize..32).prop_map(|v| Churn::PowerOff { v }),
                 (0usize..32).prop_map(|v| Churn::Destroy { v }),
                 ((0usize..8), (-50i8..50)).prop_map(|(d, delta)| Churn::AdjustDs { d, delta }),
-                ((0usize..32), (0usize..8)).prop_map(|(v, d)| Churn::SeedResidency { v, d }),
             ]
         }
 
-        fn query_strategy() -> impl Strategy<Value = (u8, u8, usize)> {
-            // (disk_gb, mem_gb, prefer-resident pick: 0 = none, else vm
-            // index + 1)
-            ((1u8..50), (1u8..48), (0usize..16))
+        fn query_strategy() -> impl Strategy<Value = (u8, u8)> {
+            // (disk_gb, mem_gb)
+            ((1u8..50), (1u8..48))
         }
 
         proptest! {
@@ -424,11 +256,9 @@ mod tests {
                 queries in proptest::collection::vec(query_strategy(), 1..24),
             ) {
                 let mut inv = Inventory::new();
-                let mut residency = TemplateResidency::new();
                 let mut hosts: Vec<HostId> = Vec::new();
                 let mut dss: Vec<DatastoreId> = Vec::new();
                 let mut vms: Vec<VmId> = Vec::new();
-                let mut seeded = 0u32;
                 for op in ops {
                     match op {
                         Churn::AddHost { mem_gb } => {
@@ -482,38 +312,16 @@ mod tests {
                                 let _ = inv.adjust_datastore_usage(d, f64::from(delta));
                             }
                         }
-                        Churn::SeedResidency { v, d } => {
-                            if let (Some(&vm), Some(&d)) = (vms.get(v), dss.get(d)) {
-                                seeded += 1;
-                                residency.seed(vm, d, DiskId::from_parts(seeded, 1));
-                            }
-                        }
                     }
                 }
                 inv.check_invariants().expect("index in sync after churn");
 
-                for policy in [PlacementPolicy::LeastLoaded, PlacementPolicy::RoundRobin] {
-                    // Separate placers so round-robin cursors advance
-                    // independently; equal decisions keep them in lockstep.
-                    let mut indexed = Placer::new(policy);
-                    let mut reference = Placer::new(policy);
-                    for &(disk, mem_gb, prefer) in &queries {
-                        let template = match prefer {
-                            0 => None,
-                            i => vms.get(i - 1).copied(),
-                        };
-                        let disk_gb = f64::from(disk);
-                        let mem_mb = u64::from(mem_gb) * 1024;
-                        let got =
-                            indexed.place(&inv, &residency, disk_gb, mem_mb, template);
-                        let want = reference
-                            .place_reference(&inv, &residency, disk_gb, mem_mb, template);
-                        prop_assert_eq!(
-                            got, want,
-                            "policy {:?}, disk {} mem {} template {:?}",
-                            policy, disk_gb, mem_mb, template
-                        );
-                    }
+                for &(disk, mem_gb) in &queries {
+                    let disk_gb = f64::from(disk);
+                    let mem_mb = u64::from(mem_gb) * 1024;
+                    let got = Placer.place(&inv, disk_gb, mem_mb);
+                    let want = Placer.place_reference(&inv, disk_gb, mem_mb);
+                    prop_assert_eq!(got, want, "disk {} mem {}", disk_gb, mem_mb);
                 }
             }
         }

@@ -7,17 +7,17 @@
 
 use cpsim_des::FastMap;
 
-use cpsim_des::{FifoQueue, SimDuration, SimRng, SimTime, Streams};
+use cpsim_des::{Dist, FifoQueue, SimDuration, SimRng, SimTime, Streams};
 use cpsim_faults::{FaultKind, RecoveryPolicy};
 use cpsim_hostagent::{AgentFleet, Primitive, ServiceMod};
 use cpsim_inventory::{
-    Arena, DatastoreId, DatastoreSpec, HostId, HostSpec, HostState, Inventory, PowerState, TaskId,
-    VmId, VmSpec,
+    Arena, DatastoreId, DatastoreSpec, DiskId, HostId, HostSpec, HostState, Inventory, PowerState,
+    TaskId, VmId, VmSpec,
 };
 use cpsim_storage::{StoragePool, TemplateResidency, TransferEngine, TransferId, GIB};
 
 use crate::admission::{AdmissionControl, Scope};
-use crate::config::ControlPlaneConfig;
+use crate::config::{ControlCostModel, ControlPlaneConfig};
 use crate::gate::{GateDecision, PlacementGate};
 use crate::op::{CloneMode, OpKind, Operation};
 use crate::placement::Placer;
@@ -106,19 +106,62 @@ enum Step {
     Cpu(&'static str, SimDuration),
     Db(&'static str, SimDuration),
     Agent(HostId, Primitive),
-    Transfer {
-        src: DatastoreId,
-        dst: DatastoreId,
-        bytes: f64,
-        label: &'static str,
-    },
+    /// Label, source datastore, destination datastore, bytes.
+    Transfer(&'static str, DatastoreId, DatastoreId, f64),
     Acquire(Scope),
     Continue,
     Done,
-    /// Transient failure: retried with backoff when fault injection is
-    /// installed, terminal otherwise.
-    FailRetryable(String),
+}
+
+/// Why a stage cannot proceed (internal).
+enum Halt {
+    /// Terminal: the task fails with this error.
     Fail(String),
+    /// Transient: retried with backoff when fault injection is installed,
+    /// terminal otherwise.
+    Retry(String),
+}
+
+/// `?` lifts inventory and storage errors, and plain messages, into a
+/// terminal failure.
+impl<E: std::fmt::Display> From<E> for Halt {
+    fn from(e: E) -> Self {
+        Halt::Fail(e.to_string())
+    }
+}
+
+/// One planned stage of a phase program.
+type Plan = Result<Step, Halt>;
+
+/// The single-VM operations that share one phase program (internal).
+#[derive(Clone, Copy)]
+enum VmOp {
+    PowerOn,
+    PowerOff,
+    Reconfigure,
+    Snapshot,
+    RemoveSnapshot,
+}
+
+impl VmOp {
+    fn primitive(self) -> Primitive {
+        match self {
+            VmOp::PowerOn => Primitive::PowerOnVm,
+            VmOp::PowerOff => Primitive::PowerOffVm,
+            VmOp::Reconfigure => Primitive::ReconfigureVm,
+            VmOp::Snapshot => Primitive::CreateSnapshot,
+            VmOp::RemoveSnapshot => Primitive::RemoveSnapshot,
+        }
+    }
+
+    /// Label of the closing inventory-record update.
+    fn record_label(self) -> &'static str {
+        match self {
+            VmOp::PowerOn | VmOp::PowerOff => "update-power-state",
+            VmOp::Reconfigure => "update-config",
+            VmOp::Snapshot | VmOp::RemoveSnapshot => "update-snapshot",
+        }
+    }
 }
 
 struct TransferOwner {
@@ -143,7 +186,6 @@ pub struct ControlPlane {
     transfer_owner: FastMap<TransferId, TransferOwner>,
     admission: AdmissionControl,
     tasks: Arena<TaskId, Task>,
-    placer: Placer,
     stats: MgmtStats,
     rng: SimRng,
     heartbeat_hosts: Vec<HostId>,
@@ -179,7 +221,6 @@ impl ControlPlane {
             storage: StoragePool::new(),
             residency: TemplateResidency::new(),
             tasks: Arena::new(),
-            placer: Placer::default(),
             stats: MgmtStats::new(),
             rng: streams.rng(Streams::SERVICE),
             heartbeat_hosts: Vec::new(),
@@ -343,9 +384,9 @@ impl ControlPlane {
         };
         g.sync(now, &mut self.inv);
         self.stats.on_placement_sync();
-        let cpu = Self::sample_cost(&self.cfg.cost.result_processing, &mut self.rng);
+        let cpu = self.sample(|c| &c.result_processing);
         self.enqueue_cpu(now, Owner::Background, "placement-sync", cpu, out);
-        let db = Self::sample_cost(&self.cfg.cost.db_update, &mut self.rng);
+        let db = self.sample(|c| &c.db_update);
         self.enqueue_db(now, Owner::Background, "placement-sync", db, out);
     }
 
@@ -616,40 +657,27 @@ impl ControlPlane {
             return; // host removed: stop its beats
         }
         let hb = self.cfg.heartbeat;
-        let missed = self
-            .faults
-            .as_ref()
-            .is_some_and(|inj| inj.host_down(host) || inj.hb_dropped(host));
-        if missed {
-            // No beat arrives (and nothing is charged): consecutive misses
-            // eventually make the plane declare the host down, triggering
-            // an inventory resync the control plane pays for.
-            let threshold = self
-                .faults
-                .as_ref()
-                .expect("missed implies injector")
-                .policy()
-                .heartbeat_miss_threshold;
-            let misses = self
-                .faults
-                .as_mut()
-                .expect("gated on faults.is_some() by this match arm")
-                .record_miss(host);
-            let connected = self
-                .inv
-                .host(host)
-                .is_some_and(|h| h.state == HostState::Connected);
-            if misses >= threshold && connected {
-                let _ = self.inv.set_host_state(host, HostState::Disconnected);
-                self.faults
-                    .as_mut()
-                    .expect("gated on faults.is_some() by this match arm")
-                    .declare_down(host);
-                self.stats.on_host_declared_down();
-                self.charge_resync(now, out);
+        let missed = match self.faults.as_mut() {
+            Some(inj) if inj.host_down(host) || inj.hb_dropped(host) => {
+                // No beat arrives (and nothing is charged): consecutive
+                // misses eventually make the plane declare the host down,
+                // triggering an inventory resync the control plane pays
+                // for.
+                let threshold = inj.policy().heartbeat_miss_threshold;
+                let misses = inj.record_miss(host);
+                let connected = self
+                    .inv
+                    .host(host)
+                    .is_some_and(|h| h.state == HostState::Connected);
+                if misses >= threshold && connected {
+                    let _ = self.inv.set_host_state(host, HostState::Disconnected);
+                    inj.declare_down(host);
+                    self.stats.on_host_declared_down();
+                    self.charge_resync(now, out);
+                }
+                true
             }
-        } else {
-            if let Some(inj) = self.faults.as_mut() {
+            Some(inj) => {
                 inj.reset_misses(host);
                 if inj.is_declared_down(host) {
                     // The host answered again: reconnect it and resync.
@@ -657,7 +685,11 @@ impl ControlPlane {
                     let _ = self.inv.set_host_state(host, HostState::Connected);
                     self.charge_resync(now, out);
                 }
+                false
             }
+            None => false,
+        };
+        if !missed {
             if !hb.mgmt_cpu.is_zero() {
                 self.enqueue_cpu(now, Owner::Background, "heartbeat", hb.mgmt_cpu, out);
             }
@@ -672,9 +704,9 @@ impl ControlPlane {
     /// management load (host declared down, or reconnected after one).
     fn charge_resync(&mut self, now: SimTime, out: &mut Vec<Emit>) {
         self.stats.on_resync();
-        let cpu = Self::sample_cost(&self.cfg.cost.host_sync, &mut self.rng);
+        let cpu = self.sample(|c| &c.host_sync);
         self.enqueue_cpu(now, Owner::Background, "host-resync", cpu, out);
-        let db = Self::sample_cost(&self.cfg.cost.db_update, &mut self.rng);
+        let db = self.sample(|c| &c.db_update);
         self.enqueue_db(now, Owner::Background, "host-resync", db, out);
     }
 
@@ -741,82 +773,26 @@ impl ControlPlane {
             if self.tasks.get(tid).is_none() {
                 return; // already finished (defensive)
             }
-            let step = self.plan_step(now, tid, out);
+            let step = match self.plan_step(now, tid, out) {
+                Ok(step) => step,
+                Err(Halt::Fail(err)) => {
+                    self.finish(now, tid, Some(err), out);
+                    return;
+                }
+                Err(Halt::Retry(err)) => {
+                    self.on_phase_failure(now, tid, err, out);
+                    return;
+                }
+            };
             match step {
-                Step::Cpu(label, dur) => {
-                    self.enqueue_cpu(now, Owner::Task(tid), label, dur, out);
-                    return;
-                }
-                Step::Db(label, dur) => {
-                    self.enqueue_db(now, Owner::Task(tid), label, dur, out);
-                    return;
-                }
-                Step::Agent(host, primitive) => {
-                    if self.faults.as_ref().is_some_and(|inj| inj.host_down(host)) {
-                        self.on_phase_failure(
-                            now,
-                            tid,
-                            format!("host not responding during {}", primitive.name()),
-                            out,
-                        );
-                        return;
-                    }
-                    let mut service_mod = ServiceMod::default();
-                    let mut hangs = false;
-                    if let Some(inj) = self.faults.as_mut() {
-                        let scale = inj.agent_scale();
-                        if scale != 1.0 {
-                            service_mod.scale = scale;
-                        }
-                        if inj.draw_timeout() {
-                            // The primitive hangs: it occupies the agent
-                            // until the phase timeout, then fails.
-                            service_mod.force = Some(inj.policy().agent_timeout);
-                            hangs = true;
-                        }
-                    }
-                    if hangs {
-                        self.stats.on_agent_timeout();
-                        self.tasks
-                            .get_mut(tid)
-                            .expect("task entry outlives its in-flight events")
-                            .pending_timeout = true;
-                    }
-                    match self
-                        .agents
-                        .submit_with(now, host, primitive, tid, service_mod)
-                    {
-                        Ok(Some(start)) => {
-                            out.push(Emit::At(
-                                now + start.service,
-                                MgmtEvent::AgentDone {
-                                    host,
-                                    task: tid,
-                                    primitive: start.primitive,
-                                    service: start.service,
-                                    epoch: self.agents.epoch(host),
-                                },
-                            ));
-                        }
-                        Ok(None) => {} // queued at the host
-                        Err(e) => {
-                            self.finish(now, tid, Some(e.to_string()), out);
-                        }
-                    }
-                    return;
-                }
-                Step::Transfer {
-                    src,
-                    dst,
-                    bytes,
-                    label,
-                } => {
+                Step::Cpu(label, dur) => self.enqueue_cpu(now, Owner::Task(tid), label, dur, out),
+                Step::Db(label, dur) => self.enqueue_db(now, Owner::Task(tid), label, dur, out),
+                Step::Agent(host, primitive) => self.start_agent(now, tid, host, primitive, out),
+                Step::Transfer(label, src, dst, bytes) => {
                     let (xid, events) = self.transfers.start(now, src, dst, bytes);
                     self.transfer_owner
                         .insert(xid, TransferOwner { task: tid, label });
-                    if let Some(t) = self.tasks.get_mut(tid) {
-                        t.transfer_started = Some(now);
-                    }
+                    self.task_mut(tid).transfer_started = Some(now);
                     for ev in events {
                         out.push(Emit::At(
                             ev.at,
@@ -826,38 +802,77 @@ impl ControlPlane {
                             },
                         ));
                     }
-                    return;
                 }
                 Step::Acquire(scope) => {
                     if self.admission.try_acquire(&scope) {
-                        self.tasks
-                            .get_mut(tid)
-                            .expect("task entry outlives its in-flight events")
-                            .scope = Some(scope);
+                        self.task_mut(tid).scope = Some(scope);
                         continue;
                     }
-                    let t = self
-                        .tasks
-                        .get_mut(tid)
-                        .expect("task entry outlives its in-flight events");
-                    t.parked_at = Some(now);
+                    self.task_mut(tid).parked_at = Some(now);
                     self.admission.park(tid, scope);
-                    return;
                 }
                 Step::Continue => continue,
-                Step::Done => {
-                    self.finish(now, tid, None, out);
-                    return;
-                }
-                Step::FailRetryable(err) => {
-                    self.on_phase_failure(now, tid, err, out);
-                    return;
-                }
-                Step::Fail(err) => {
-                    self.finish(now, tid, Some(err), out);
-                    return;
-                }
+                Step::Done => self.finish(now, tid, None, out),
             }
+            return;
+        }
+    }
+
+    /// Hands `primitive` to `host`'s agent, or fails the phase at once if
+    /// an injected crash holds the host down.
+    fn start_agent(
+        &mut self,
+        now: SimTime,
+        tid: TaskId,
+        host: HostId,
+        primitive: Primitive,
+        out: &mut Vec<Emit>,
+    ) {
+        if self.faults.as_ref().is_some_and(|inj| inj.host_down(host)) {
+            self.on_phase_failure(
+                now,
+                tid,
+                format!("host not responding during {}", primitive.name()),
+                out,
+            );
+            return;
+        }
+        let mut service_mod = ServiceMod::default();
+        let mut hangs = false;
+        if let Some(inj) = self.faults.as_mut() {
+            let scale = inj.agent_scale();
+            if scale != 1.0 {
+                service_mod.scale = scale;
+            }
+            if inj.draw_timeout() {
+                // The primitive hangs: it occupies the agent until the
+                // phase timeout, then fails.
+                service_mod.force = Some(inj.policy().agent_timeout);
+                hangs = true;
+            }
+        }
+        if hangs {
+            self.stats.on_agent_timeout();
+            self.task_mut(tid).pending_timeout = true;
+        }
+        match self
+            .agents
+            .submit_with(now, host, primitive, tid, service_mod)
+        {
+            Ok(Some(start)) => {
+                out.push(Emit::At(
+                    now + start.service,
+                    MgmtEvent::AgentDone {
+                        host,
+                        task: tid,
+                        primitive: start.primitive,
+                        service: start.service,
+                        epoch: self.agents.epoch(host),
+                    },
+                ));
+            }
+            Ok(None) => {} // queued at the host
+            Err(e) => self.finish(now, tid, Some(e.to_string()), out),
         }
     }
 
@@ -952,7 +967,7 @@ impl ControlPlane {
     /// exponential backoff until the retry budget runs out; without it the
     /// failure is terminal.
     fn on_phase_failure(&mut self, now: SimTime, tid: TaskId, err: String, out: &mut Vec<Emit>) {
-        let Some(max_retries) = self.faults.as_ref().map(|inj| inj.policy().max_retries) else {
+        let Some(inj) = self.faults.as_mut() else {
             self.finish(now, tid, Some(err), out);
             return;
         };
@@ -960,7 +975,7 @@ impl ControlPlane {
             return; // already finished (a crash raced with another failure)
         };
         t.pending_timeout = false;
-        if t.retries >= max_retries {
+        if t.retries >= inj.policy().max_retries {
             t.aborted = true;
             self.stats.on_abort();
             self.finish(now, tid, Some(err), out);
@@ -972,13 +987,8 @@ impl ControlPlane {
         // costs, which is the retry amplification of control-plane load
         // the availability experiment measures.
         t.stage -= 1;
-        let attempt = t.retries;
         self.stats.on_retry();
-        let backoff = self
-            .faults
-            .as_mut()
-            .expect("checked above")
-            .backoff(attempt);
+        let backoff = inj.backoff(t.retries);
         out.push(Emit::At(now + backoff, MgmtEvent::Retry { task: tid }));
     }
 
@@ -986,28 +996,19 @@ impl ControlPlane {
     /// plan are resolved modulo the current topology; recovery events are
     /// scheduled here so every fault window closes itself.
     fn on_fault(&mut self, now: SimTime, kind: FaultKind, out: &mut Vec<Emit>) {
-        if self.faults.is_none() {
+        let Some(inj) = self.faults.as_mut() else {
             return;
-        }
+        };
         match kind {
             FaultKind::HostCrash { host, down_for } => {
                 if self.heartbeat_hosts.is_empty() {
                     return;
                 }
                 let hid = self.heartbeat_hosts[host % self.heartbeat_hosts.len()];
-                if self.inv.host(hid).is_none()
-                    || self
-                        .faults
-                        .as_ref()
-                        .expect("gated on faults.is_some() by this match arm")
-                        .host_down(hid)
-                {
+                if self.inv.host(hid).is_none() || inj.host_down(hid) {
                     return; // removed or already down: nothing new fails
                 }
-                self.faults
-                    .as_mut()
-                    .expect("gated on faults.is_some() by this match arm")
-                    .mark_host_down(host, hid);
+                inj.mark_host_down(host, hid);
                 self.stats.on_host_crash();
                 out.push(Emit::At(
                     now + down_for,
@@ -1029,110 +1030,140 @@ impl ControlPlane {
             FaultKind::HostRecover { host } => {
                 // Clear the down flag; reconnection happens when healthy
                 // heartbeats resume.
-                let _ = self
-                    .faults
-                    .as_mut()
-                    .expect("gated on faults.is_some() by this match arm")
-                    .recover_host(host);
+                let _ = inj.recover_host(host);
             }
             FaultKind::AgentSlowdown { factor, duration } => {
-                self.faults
-                    .as_mut()
-                    .expect("gated on faults.is_some() by this match arm")
-                    .push_agent_slow(factor);
+                inj.push_agent_slow(factor);
                 out.push(Emit::At(
                     now + duration,
                     MgmtEvent::Fault(FaultKind::AgentSpeedRestore { factor }),
                 ));
             }
-            FaultKind::AgentSpeedRestore { factor } => {
-                self.faults
-                    .as_mut()
-                    .expect("gated on faults.is_some() by this match arm")
-                    .pop_agent_slow(factor);
-            }
+            FaultKind::AgentSpeedRestore { factor } => inj.pop_agent_slow(factor),
             FaultKind::DbDegraded { factor, duration } => {
-                self.faults
-                    .as_mut()
-                    .expect("gated on faults.is_some() by this match arm")
-                    .push_db_slow(factor);
+                inj.push_db_slow(factor);
                 out.push(Emit::At(
                     now + duration,
                     MgmtEvent::Fault(FaultKind::DbRestore { factor }),
                 ));
             }
-            FaultKind::DbRestore { factor } => {
-                self.faults
-                    .as_mut()
-                    .expect("gated on faults.is_some() by this match arm")
-                    .pop_db_slow(factor);
-            }
+            FaultKind::DbRestore { factor } => inj.pop_db_slow(factor),
             FaultKind::DatastoreOutage { ds, duration } => {
                 if self.datastore_order.is_empty() {
                     return;
                 }
                 let did = self.datastore_order[ds % self.datastore_order.len()];
-                if self
-                    .faults
-                    .as_ref()
-                    .expect("gated on faults.is_some() by this match arm")
-                    .ds_down(did)
-                {
+                if inj.ds_down(did) {
                     return;
                 }
-                self.faults
-                    .as_mut()
-                    .expect("gated on faults.is_some() by this match arm")
-                    .mark_ds_down(ds, did);
+                inj.mark_ds_down(ds, did);
                 out.push(Emit::At(
                     now + duration,
                     MgmtEvent::Fault(FaultKind::DatastoreRestore { ds }),
                 ));
             }
             FaultKind::DatastoreRestore { ds } => {
-                let _ = self
-                    .faults
-                    .as_mut()
-                    .expect("gated on faults.is_some() by this match arm")
-                    .restore_ds(ds);
+                let _ = inj.restore_ds(ds);
             }
             FaultKind::HeartbeatDrops { host, duration } => {
                 if self.heartbeat_hosts.is_empty() {
                     return;
                 }
                 let hid = self.heartbeat_hosts[host % self.heartbeat_hosts.len()];
-                if self
-                    .faults
-                    .as_ref()
-                    .expect("gated on faults.is_some() by this match arm")
-                    .hb_dropped(hid)
-                {
+                if inj.hb_dropped(hid) {
                     return;
                 }
-                self.faults
-                    .as_mut()
-                    .expect("gated on faults.is_some() by this match arm")
-                    .mark_hb_dropped(host, hid);
+                inj.mark_hb_dropped(host, hid);
                 out.push(Emit::At(
                     now + duration,
                     MgmtEvent::Fault(FaultKind::HeartbeatRestore { host }),
                 ));
             }
             FaultKind::HeartbeatRestore { host } => {
-                let _ = self
-                    .faults
-                    .as_mut()
-                    .expect("gated on faults.is_some() by this match arm")
-                    .restore_hb(host);
+                let _ = inj.restore_hb(host);
             }
         }
     }
 
-    /// Samples a cost distribution. An associated function (not a method)
-    /// so call sites can borrow the distribution out of `self.cfg` while
-    /// handing the rng out of `self.rng` — no per-sample `Dist` clone.
-    fn sample_cost(dist: &cpsim_des::Dist, rng: &mut SimRng) -> SimDuration {
-        SimDuration::from_secs_f64(dist.sample(rng))
+    // ---- phase-program vocabulary -----------------------------------------
+
+    /// The live task `tid`.
+    fn task(&self, tid: TaskId) -> &Task {
+        self.tasks
+            .get(tid)
+            .expect("task entry outlives its in-flight events")
+    }
+
+    /// The live task `tid`, mutably.
+    fn task_mut(&mut self, tid: TaskId) -> &mut Task {
+        self.tasks
+            .get_mut(tid)
+            .expect("task entry outlives its in-flight events")
+    }
+
+    /// The `(host, datastore)` an earlier stage of `tid` recorded.
+    fn placement(&self, tid: TaskId) -> (HostId, DatastoreId) {
+        self.task(tid)
+            .placement
+            .expect("placement made by an earlier stage of this task")
+    }
+
+    fn placed_host(&self, tid: TaskId) -> HostId {
+        self.placement(tid).0
+    }
+
+    /// Draws one sample of the control-phase cost that `cost` selects.
+    fn sample(&mut self, cost: fn(&ControlCostModel) -> &Dist) -> SimDuration {
+        SimDuration::from_secs_f64(cost(&self.cfg.cost).sample(&mut self.rng))
+    }
+
+    /// A management-CPU step charged one sample of `cost`.
+    fn cpu_step(&mut self, label: &'static str, cost: fn(&ControlCostModel) -> &Dist) -> Step {
+        Step::Cpu(label, self.sample(cost))
+    }
+
+    /// A database step charged one sample of `cost`.
+    fn db_step(&mut self, label: &'static str, cost: fn(&ControlCostModel) -> &Dist) -> Step {
+        Step::Db(label, self.sample(cost))
+    }
+
+    /// The placement scan: a sampled base cost plus a per-host term.
+    fn placement_step(&mut self) -> Step {
+        let hosts = self.inv.counts().hosts;
+        let base = self.sample(|c| &c.placement_base);
+        let per_host =
+            SimDuration::from_secs_f64(self.cfg.cost.placement_per_host_us * 1e-6 * hosts as f64);
+        Step::Cpu("placement", base + per_host)
+    }
+
+    /// Fails the stage retryably while an injected outage holds `ds` down.
+    fn datastore_up(&self, ds: DatastoreId) -> Result<(), Halt> {
+        if self.faults.as_ref().is_some_and(|i| i.ds_down(ds)) {
+            return Err(Halt::Retry(format!("datastore {ds} unavailable")));
+        }
+        Ok(())
+    }
+
+    /// Records the VM's host and datastore as the task's placement and
+    /// asks for the host slot plus the VM's exclusive lock.
+    fn lock_vm(&mut self, tid: TaskId, vm: VmId) -> Plan {
+        let v = self
+            .inv
+            .vm(vm)
+            .ok_or_else(|| format!("vm {vm} no longer exists"))?;
+        let (host, ds) = (v.host, v.datastore);
+        self.task_mut(tid).placement = Some((host, ds));
+        Ok(Step::Acquire(
+            Scope::global_only().with_host(host).with_vm(vm),
+        ))
+    }
+
+    fn attach_disk(&mut self, vm: VmId, disk: DiskId) {
+        self.inv
+            .vm_mut(vm)
+            .expect("vm stays in inventory while its task runs")
+            .disks
+            .push(disk);
     }
 
     fn next_clone_name(&mut self) -> String {
@@ -1140,40 +1171,57 @@ impl ControlPlane {
         format!("vm-{:06}", self.name_seq)
     }
 
+    /// Commits a freshly-picked placement against the external gate, if
+    /// one is installed. A rejected reservation halts the stage
+    /// retryably (the gate refreshes the contended datastore's mirror
+    /// before returning, so the retried placement scan picks elsewhere).
+    fn gate_commit(
+        &mut self,
+        now: SimTime,
+        host: HostId,
+        ds: DatastoreId,
+        mem_mb: u64,
+        disk_gb: f64,
+    ) -> Result<(), Halt> {
+        let Some(g) = self.gate.as_mut() else {
+            return Ok(());
+        };
+        match g.commit(now, &mut self.inv, host, ds, mem_mb, disk_gb) {
+            GateDecision::Commit => {
+                self.stats.on_placement_commit();
+                Ok(())
+            }
+            GateDecision::Conflict(reason) => {
+                self.stats.on_placement_conflict();
+                Err(Halt::Retry(reason))
+            }
+        }
+    }
+
+    // ---- per-op programs --------------------------------------------------
+
     /// The per-operation phase program. Called with the task's stage
     /// counter already advanced to the stage to plan.
-    #[allow(clippy::too_many_lines)]
-    fn plan_step(&mut self, now: SimTime, tid: TaskId, out: &mut Vec<Emit>) -> Step {
-        let (kind, stage) = {
-            let t = self.tasks.get_mut(tid).expect("live task");
-            t.stage += 1;
-            (t.op.kind.clone(), t.stage)
-        };
+    fn plan_step(&mut self, now: SimTime, tid: TaskId, out: &mut Vec<Emit>) -> Plan {
+        let t = self.task_mut(tid);
+        t.stage += 1;
+        let (kind, stage) = (t.op.kind.clone(), t.stage);
 
         // Shared prelude for every operation.
-        if stage == 1 {
-            let d = Self::sample_cost(&self.cfg.cost.api_ingress, &mut self.rng);
-            return Step::Cpu("api-ingress", d);
-        }
-        if stage == 2 {
-            if self.cfg.db_batching {
-                // Batching folds the task record into the first real write.
-                return Step::Continue;
-            }
-            let d = Self::sample_cost(&self.cfg.cost.db_task_record, &mut self.rng);
-            return Step::Db("task-record", d);
+        match stage {
+            1 => return Ok(self.cpu_step("api-ingress", |c| &c.api_ingress)),
+            2 => return Ok(self.db_step("task-record", |c| &c.db_task_record)),
+            _ => {}
         }
 
         match kind {
             OpKind::CreateVm { spec } => self.plan_create(now, tid, stage, spec),
             OpKind::CloneVm { source, mode } => self.plan_clone(now, tid, stage, source, mode),
-            OpKind::PowerOn { vm } => self.plan_power(tid, stage, vm, true),
-            OpKind::PowerOff { vm } => self.plan_power(tid, stage, vm, false),
-            OpKind::Reconfigure { vm } => {
-                self.plan_simple_vm_op(tid, stage, vm, Primitive::ReconfigureVm)
-            }
-            OpKind::Snapshot { vm } => self.plan_snapshot(tid, stage, vm),
-            OpKind::RemoveSnapshot { vm } => self.plan_remove_snapshot(tid, stage, vm),
+            OpKind::PowerOn { vm } => self.plan_vm_op(tid, stage, vm, VmOp::PowerOn),
+            OpKind::PowerOff { vm } => self.plan_vm_op(tid, stage, vm, VmOp::PowerOff),
+            OpKind::Reconfigure { vm } => self.plan_vm_op(tid, stage, vm, VmOp::Reconfigure),
+            OpKind::Snapshot { vm } => self.plan_vm_op(tid, stage, vm, VmOp::Snapshot),
+            OpKind::RemoveSnapshot { vm } => self.plan_vm_op(tid, stage, vm, VmOp::RemoveSnapshot),
             OpKind::DestroyVm { vm } => self.plan_destroy(tid, stage, vm),
             OpKind::MigrateVm { vm } => self.plan_migrate(tid, stage, vm),
             OpKind::RelocateVm { vm, dst } => self.plan_relocate(tid, stage, vm, dst),
@@ -1186,110 +1234,71 @@ impl ControlPlane {
         }
     }
 
-    // ---- per-op programs --------------------------------------------------
-
-    /// Commits a freshly-picked placement against the external gate, if
-    /// one is installed. Returns `None` when the task may proceed and the
-    /// retryable failure step when the authoritative store rejected the
-    /// reservation (the gate refreshes the contended datastore's mirror
-    /// before returning, so the retried placement scan picks elsewhere).
-    fn gate_commit(
-        &mut self,
-        now: SimTime,
-        host: HostId,
-        ds: DatastoreId,
-        mem_mb: u64,
-        disk_gb: f64,
-    ) -> Option<Step> {
-        let g = self.gate.as_mut()?;
-        match g.commit(now, &mut self.inv, host, ds, mem_mb, disk_gb) {
-            GateDecision::Commit => {
-                self.stats.on_placement_commit();
-                None
-            }
-            GateDecision::Conflict(reason) => {
-                self.stats.on_placement_conflict();
-                Some(Step::FailRetryable(reason))
-            }
-        }
-    }
-
-    fn placement_step(&mut self) -> Step {
-        let hosts = self.inv.counts().hosts;
-        let base = Self::sample_cost(&self.cfg.cost.placement_base, &mut self.rng);
-        let per_host =
-            SimDuration::from_secs_f64(self.cfg.cost.placement_per_host_us * 1e-6 * hosts as f64);
-        Step::Cpu("placement", base + per_host)
-    }
-
-    fn plan_create(&mut self, now: SimTime, tid: TaskId, stage: u32, spec: VmSpec) -> Step {
-        match stage {
+    fn plan_create(&mut self, now: SimTime, tid: TaskId, stage: u32, spec: VmSpec) -> Plan {
+        Ok(match stage {
             3 => self.placement_step(),
             4 => {
-                let Some((host, ds)) =
-                    self.placer
-                        .place(&self.inv, &self.residency, spec.disk_gb, spec.mem_mb, None)
-                else {
-                    return Step::Fail("placement failed: no capacity".into());
-                };
-                if let Some(step) = self.gate_commit(now, host, ds, spec.mem_mb, spec.disk_gb) {
-                    return step;
-                }
-                self.tasks
-                    .get_mut(tid)
-                    .expect("task entry outlives its in-flight events")
-                    .placement = Some((host, ds));
+                let (host, ds) = Placer
+                    .place(&self.inv, spec.disk_gb, spec.mem_mb)
+                    .ok_or("placement failed: no capacity")?;
+                self.gate_commit(now, host, ds, spec.mem_mb, spec.disk_gb)?;
+                self.task_mut(tid).placement = Some((host, ds));
                 Step::Acquire(Scope::global_only().with_host(host).with_datastore(ds))
             }
-            5 => {
-                let d = Self::sample_cost(&self.cfg.cost.db_insert, &mut self.rng);
-                Step::Db("insert-vm", d)
-            }
+            5 => self.db_step("insert-vm", |c| &c.db_insert),
             6 => {
-                let (host, ds) = self
-                    .tasks
-                    .get(tid)
-                    .expect("task entry outlives its in-flight events")
-                    .placement
-                    .expect("placement recorded by an earlier stage");
-                if self.faults.as_ref().is_some_and(|i| i.ds_down(ds)) {
-                    return Step::FailRetryable(format!("datastore {ds} unavailable"));
-                }
+                let (host, ds) = self.placement(tid);
+                self.datastore_up(ds)?;
                 let name = self.next_clone_name();
-                let vm = match self.inv.create_vm(name, spec, host, ds) {
-                    Ok(vm) => vm,
-                    Err(e) => return Step::Fail(e.to_string()),
-                };
+                let vm = self.inv.create_vm(name, spec, host, ds)?;
                 let disk = match self.storage.create_base(&mut self.inv, ds, spec.disk_gb) {
                     Ok(d) => d,
                     Err(e) => {
                         let _ = self.inv.destroy_vm(vm);
-                        return Step::Fail(e.to_string());
+                        return Err(e.into());
                     }
                 };
-                self.inv.vm_mut(vm).expect("just created").disks.push(disk);
-                self.tasks
-                    .get_mut(tid)
-                    .expect("task entry outlives its in-flight events")
-                    .produced_vm = Some(vm);
+                self.attach_disk(vm, disk);
+                self.task_mut(tid).produced_vm = Some(vm);
                 Step::Continue
             }
             7 => Step::Agent(self.placed_host(tid), Primitive::CreateVmFiles),
             8 => Step::Agent(self.placed_host(tid), Primitive::RegisterVm),
-            9 => {
-                let d = Self::sample_cost(&self.cfg.cost.result_processing, &mut self.rng);
-                Step::Cpu("result-processing", d)
-            }
-            10 => {
-                let d = Self::sample_cost(&self.cfg.cost.db_update, &mut self.rng);
-                Step::Db("finalize-records", d)
-            }
-            11 => {
-                let d = Self::sample_cost(&self.cfg.cost.finalize, &mut self.rng);
-                Step::Cpu("finalize", d)
-            }
+            9 => self.cpu_step("result-processing", |c| &c.result_processing),
+            10 => self.db_step("finalize-records", |c| &c.db_update),
+            11 => self.cpu_step("finalize", |c| &c.finalize),
             _ => Step::Done,
+        })
+    }
+
+    /// Picks `(host, datastore)` for a full or linked clone of `source`
+    /// and commits it against the gate.
+    fn place_clone(
+        &mut self,
+        now: SimTime,
+        source: VmId,
+        spec: VmSpec,
+        linked: bool,
+    ) -> Result<(HostId, DatastoreId), Halt> {
+        let delta_gb = self.cfg.linked_delta_gb;
+        let need_gb = if linked { delta_gb } else { spec.disk_gb };
+        let mut placement = Placer.place(&self.inv, need_gb, spec.mem_mb);
+        // A linked clone that lands where the source is not resident
+        // needs room for the shadow copy's full base as well.
+        if linked && placement.is_some_and(|(_, ds)| !self.residency.is_resident(source, ds)) {
+            placement = Placer.place(&self.inv, spec.disk_gb + delta_gb, spec.mem_mb);
         }
+        let (host, ds) = placement.ok_or("placement failed: no capacity")?;
+        // What the commit reserves on `ds`: the full base for a full
+        // clone, the delta for a resident linked clone, and base + delta
+        // when a shadow copy must land first.
+        let commit_gb = match (linked, self.residency.is_resident(source, ds)) {
+            (false, _) => spec.disk_gb,
+            (true, true) => delta_gb,
+            (true, false) => spec.disk_gb + delta_gb,
+        };
+        self.gate_commit(now, host, ds, spec.mem_mb, commit_gb)?;
+        Ok((host, ds))
     }
 
     fn plan_clone(
@@ -1299,82 +1308,25 @@ impl ControlPlane {
         stage: u32,
         source: VmId,
         mode: CloneMode,
-    ) -> Step {
-        match stage {
-            3 => {
-                if mode == CloneMode::Instant {
-                    // No placement scan: the fork lands on the parent's
-                    // host and datastore by construction.
-                    let d = Self::sample_cost(&self.cfg.cost.placement_base, &mut self.rng);
-                    return Step::Cpu("placement", d);
-                }
-                self.placement_step()
-            }
+    ) -> Plan {
+        let instant = mode == CloneMode::Instant;
+        Ok(match stage {
+            // No placement scan for a fork: it lands on the parent's host
+            // and datastore by construction.
+            3 if instant => self.cpu_step("placement", |c| &c.placement_base),
+            3 => self.placement_step(),
             4 => {
-                let src = match self.inv.vm(source) {
-                    Some(v) => v,
-                    None => return Step::Fail(format!("clone source {source} no longer exists")),
-                };
-                if mode == CloneMode::Instant {
-                    let (host, ds) = (src.host, src.datastore);
-                    self.tasks
-                        .get_mut(tid)
-                        .expect("task entry outlives its in-flight events")
-                        .placement = Some((host, ds));
-                    return Step::Acquire(
-                        Scope::global_only()
-                            .with_host(host)
-                            .with_datastore(ds)
-                            .with_vm_shared(source),
-                    );
-                }
-                let spec = src.spec;
-                let prefer = (mode == CloneMode::Linked && self.cfg.placement_prefers_resident)
-                    .then_some(source);
-                let disk_need = match mode {
-                    CloneMode::Full => spec.disk_gb,
-                    CloneMode::Linked => self.cfg.linked_delta_gb,
-                    // cpsim-lint: allow(no-panic-hot-path, panic-reachability): the Instant arm returns at the top of this stage, so this match sees only Full/Linked
-                    CloneMode::Instant => unreachable!("instant handled above"),
-                };
-                let mut placement =
-                    self.placer
-                        .place(&self.inv, &self.residency, disk_need, spec.mem_mb, prefer);
-                if mode == CloneMode::Linked {
-                    // If we landed on a non-resident datastore the shadow
-                    // copy needs space for a full base as well.
-                    if let Some((_, ds)) = placement {
-                        if !self.residency.is_resident(source, ds) {
-                            placement = self.placer.place(
-                                &self.inv,
-                                &self.residency,
-                                spec.disk_gb + self.cfg.linked_delta_gb,
-                                spec.mem_mb,
-                                prefer,
-                            );
-                        }
-                    }
-                }
-                let Some((host, ds)) = placement else {
-                    return Step::Fail("placement failed: no capacity".into());
-                };
-                // What the commit reserves on `ds`: the full base for a
-                // full clone, the delta for a resident linked clone, and
-                // base + delta when a shadow copy must land first.
-                let commit_gb = if mode == CloneMode::Full {
-                    spec.disk_gb
-                } else if self.residency.is_resident(source, ds) {
-                    self.cfg.linked_delta_gb
+                let (src_host, src_ds, spec) = self
+                    .inv
+                    .vm(source)
+                    .map(|v| (v.host, v.datastore, v.spec))
+                    .ok_or_else(|| format!("clone source {source} no longer exists"))?;
+                let (host, ds) = if instant {
+                    (src_host, src_ds)
                 } else {
-                    spec.disk_gb + self.cfg.linked_delta_gb
+                    self.place_clone(now, source, spec, mode == CloneMode::Linked)?
                 };
-                if let Some(step) = self.gate_commit(now, host, ds, spec.mem_mb, commit_gb) {
-                    return step;
-                }
-                self.tasks
-                    .get_mut(tid)
-                    .expect("task entry outlives its in-flight events")
-                    .placement = Some((host, ds));
+                self.task_mut(tid).placement = Some((host, ds));
                 Step::Acquire(
                     Scope::global_only()
                         .with_host(host)
@@ -1383,480 +1335,230 @@ impl ControlPlane {
                 )
             }
             5 => {
-                let src_host = match self.inv.vm(source) {
-                    Some(v) => v.host,
-                    None => return Step::Fail("clone source vanished".into()),
-                };
-                let prim = if mode == CloneMode::Instant {
+                let src_host = self.inv.vm(source).ok_or("clone source vanished")?.host;
+                let prim = if instant {
                     Primitive::InstantFork
                 } else {
                     Primitive::PrepareClone
                 };
                 Step::Agent(src_host, prim)
             }
-            6 => {
-                let d = Self::sample_cost(&self.cfg.cost.db_insert, &mut self.rng);
-                Step::Db("insert-vm", d)
-            }
-            7 => {
-                // Create the VM record and kick off data materialization.
-                let (host, ds) = self
-                    .tasks
-                    .get(tid)
-                    .expect("task entry outlives its in-flight events")
-                    .placement
-                    .expect("placement recorded by an earlier stage");
-                if self.faults.as_ref().is_some_and(|i| i.ds_down(ds)) {
-                    return Step::FailRetryable(format!("datastore {ds} unavailable"));
-                }
-                let (spec, src_ds) = match self.inv.vm(source) {
-                    Some(v) => (v.spec, v.datastore),
-                    None => return Step::Fail("clone source vanished".into()),
-                };
-                let name = self.next_clone_name();
-                let vm = match self.inv.create_vm(name, spec, host, ds) {
-                    Ok(vm) => vm,
-                    Err(e) => return Step::Fail(e.to_string()),
-                };
-                self.tasks
-                    .get_mut(tid)
-                    .expect("task entry outlives its in-flight events")
-                    .produced_vm = Some(vm);
-                match mode {
-                    CloneMode::Instant => {
-                        let parent = match self.inv.vm(source).and_then(|v| v.disks.last().copied())
-                        {
-                            Some(d) => d,
-                            None => return Step::Fail("instant-clone source has no disks".into()),
-                        };
-                        let delta = match self.storage.create_delta(
-                            &mut self.inv,
-                            parent,
-                            self.cfg.linked_delta_gb,
-                        ) {
-                            Ok(d) => d,
-                            Err(e) => return Step::Fail(e.to_string()),
-                        };
-                        self.inv
-                            .vm_mut(vm)
-                            .expect("vm stays in inventory while its task runs")
-                            .disks
-                            .push(delta);
-                        Step::Continue
-                    }
-                    CloneMode::Full => {
-                        let disk = match self.storage.create_base(&mut self.inv, ds, spec.disk_gb) {
-                            Ok(d) => d,
-                            Err(e) => return Step::Fail(e.to_string()),
-                        };
-                        self.tasks
-                            .get_mut(tid)
-                            .expect("task entry outlives its in-flight events")
-                            .work_disk = Some(disk);
-                        Step::Transfer {
-                            src: src_ds,
-                            dst: ds,
-                            bytes: spec.disk_gb * GIB,
-                            label: "clone-copy",
-                        }
-                    }
-                    CloneMode::Linked => {
-                        if self.residency.resident_disk(source, ds).is_some() {
-                            Step::Transfer {
-                                src: ds,
-                                dst: ds,
-                                bytes: self.cfg.linked_metadata_bytes,
-                                label: "clone-metadata",
-                            }
-                        } else {
-                            // Shadow copy: materialize a full base first.
-                            let disk =
-                                match self.storage.create_base(&mut self.inv, ds, spec.disk_gb) {
-                                    Ok(d) => d,
-                                    Err(e) => return Step::Fail(e.to_string()),
-                                };
-                            let t = self
-                                .tasks
-                                .get_mut(tid)
-                                .expect("task entry outlives its in-flight events");
-                            t.work_disk = Some(disk);
-                            t.shadow_copy = true;
-                            Step::Transfer {
-                                src: src_ds,
-                                dst: ds,
-                                bytes: spec.disk_gb * GIB,
-                                label: "shadow-copy",
-                            }
-                        }
-                    }
-                }
-            }
+            6 => self.db_step("insert-vm", |c| &c.db_insert),
+            7 => self.clone_materialize(tid, source, mode)?,
             8 => {
-                // Wire up disks now that data movement is done.
-                let (_, ds) = self
-                    .tasks
-                    .get(tid)
-                    .expect("task entry outlives its in-flight events")
-                    .placement
-                    .expect("placement recorded by an earlier stage");
-                let vm = self
-                    .tasks
-                    .get(tid)
-                    .expect("task entry outlives its in-flight events")
-                    .produced_vm
-                    .expect("produced by an earlier stage of this task");
-                match mode {
-                    CloneMode::Instant => return Step::Continue,
-                    CloneMode::Full => {
-                        let disk = self
-                            .tasks
-                            .get_mut(tid)
-                            .expect("task entry outlives its in-flight events")
-                            .work_disk
-                            .take()
-                            .expect("produced by an earlier stage of this task");
-                        self.inv
-                            .vm_mut(vm)
-                            .expect("vm stays in inventory while its task runs")
-                            .disks
-                            .push(disk);
-                    }
-                    CloneMode::Linked => {
-                        let (shadow, shadow_disk) = {
-                            let t = self
-                                .tasks
-                                .get(tid)
-                                .expect("task entry outlives its in-flight events");
-                            (t.shadow_copy, t.work_disk)
-                        };
-                        let parent = if shadow {
-                            shadow_disk.expect("shadow created")
-                        } else {
-                            self.residency
-                                .resident_disk(source, ds)
-                                .expect("checked resident at stage 7")
-                        };
-                        let delta = match self.storage.create_delta(
-                            &mut self.inv,
-                            parent,
-                            self.cfg.linked_delta_gb,
-                        ) {
-                            Ok(d) => d,
-                            Err(e) => return Step::Fail(e.to_string()),
-                        };
-                        self.inv
-                            .vm_mut(vm)
-                            .expect("vm stays in inventory while its task runs")
-                            .disks
-                            .push(delta);
-                        if shadow {
-                            // Several clones may have raced to make the
-                            // first copy on this datastore (the shadow-VM
-                            // stampede of the real stack). The winner's
-                            // copy becomes the resident replica; a loser's
-                            // copy backs only its own clone and is
-                            // collected when that clone dies.
-                            if self.residency.resident_disk(source, ds).is_none() {
-                                self.residency.seed(source, ds, parent);
-                            } else if let Err(e) = self.storage.detach(&mut self.inv, parent) {
-                                return Step::Fail(e.to_string());
-                            }
-                            self.tasks
-                                .get_mut(tid)
-                                .expect("task entry outlives its in-flight events")
-                                .work_disk = None;
-                        }
-                    }
-                }
+                self.clone_attach(tid, source, mode)?;
                 Step::Continue
             }
-            9 => {
-                if mode == CloneMode::Instant {
-                    // The fork is complete at creation; no destination-side
-                    // customization pass.
-                    return Step::Continue;
-                }
-                Step::Agent(self.placed_host(tid), Primitive::FinalizeClone)
-            }
+            // The fork is complete at creation; no destination-side
+            // customization pass.
+            9 if instant => Step::Continue,
+            9 => Step::Agent(self.placed_host(tid), Primitive::FinalizeClone),
             10 => Step::Agent(self.placed_host(tid), Primitive::RegisterVm),
-            11 => {
-                let d = Self::sample_cost(&self.cfg.cost.result_processing, &mut self.rng);
-                Step::Cpu("result-processing", d)
-            }
-            12 => {
-                let d = Self::sample_cost(&self.cfg.cost.db_update, &mut self.rng);
-                Step::Db("finalize-records", d)
-            }
-            13 => {
-                let d = Self::sample_cost(&self.cfg.cost.finalize, &mut self.rng);
-                Step::Cpu("finalize", d)
-            }
+            11 => self.cpu_step("result-processing", |c| &c.result_processing),
+            12 => self.db_step("finalize-records", |c| &c.db_update),
+            13 => self.cpu_step("finalize", |c| &c.finalize),
             _ => Step::Done,
-        }
+        })
     }
 
-    fn plan_power(&mut self, tid: TaskId, stage: u32, vm: VmId, on: bool) -> Step {
-        match stage {
-            3 => {
-                let host = match self.inv.vm(vm) {
-                    Some(v) => v.host,
-                    None => return Step::Fail(format!("vm {vm} no longer exists")),
-                };
-                self.tasks
-                    .get_mut(tid)
-                    .expect("task entry outlives its in-flight events")
-                    .placement = Some((
-                    host,
-                    self.inv
-                        .vm(vm)
-                        .expect("vm stays in inventory while its task runs")
-                        .datastore,
-                ));
-                Step::Acquire(Scope::global_only().with_host(host).with_vm(vm))
+    /// Clone stage 7: creates the VM record and starts materializing its
+    /// data — a delta over the parent's disk for a fork, a metadata write
+    /// for a resident linked clone, a full copy otherwise.
+    fn clone_materialize(&mut self, tid: TaskId, source: VmId, mode: CloneMode) -> Plan {
+        let (host, ds) = self.placement(tid);
+        self.datastore_up(ds)?;
+        let (spec, src_ds, src_top) = self
+            .inv
+            .vm(source)
+            .map(|v| (v.spec, v.datastore, v.disks.last().copied()))
+            .ok_or("clone source vanished")?;
+        let name = self.next_clone_name();
+        let vm = self.inv.create_vm(name, spec, host, ds)?;
+        self.task_mut(tid).produced_vm = Some(vm);
+        Ok(match mode {
+            CloneMode::Instant => {
+                let parent = src_top.ok_or("instant-clone source has no disks")?;
+                let delta =
+                    self.storage
+                        .create_delta(&mut self.inv, parent, self.cfg.linked_delta_gb)?;
+                self.attach_disk(vm, delta);
+                Step::Continue
             }
-            4 => Step::Agent(
-                self.placed_host(tid),
-                if on {
-                    Primitive::PowerOnVm
+            CloneMode::Linked if self.residency.resident_disk(source, ds).is_some() => {
+                Step::Transfer("clone-metadata", ds, ds, self.cfg.linked_metadata_bytes)
+            }
+            // A full clone, or a linked clone's shadow copy: materialize
+            // a full base first.
+            CloneMode::Full | CloneMode::Linked => {
+                let disk = self.storage.create_base(&mut self.inv, ds, spec.disk_gb)?;
+                let shadow = mode == CloneMode::Linked;
+                let t = self.task_mut(tid);
+                t.work_disk = Some(disk);
+                t.shadow_copy = shadow;
+                let label = if shadow { "shadow-copy" } else { "clone-copy" };
+                Step::Transfer(label, src_ds, ds, spec.disk_gb * GIB)
+            }
+        })
+    }
+
+    /// Clone stage 8: wires the clone's disks up now that data movement
+    /// is done.
+    fn clone_attach(&mut self, tid: TaskId, source: VmId, mode: CloneMode) -> Result<(), Halt> {
+        let (_, ds) = self.placement(tid);
+        let t = self.task(tid);
+        let (vm, shadow, work_disk) = (
+            t.produced_vm
+                .expect("produced by an earlier stage of this task"),
+            t.shadow_copy,
+            t.work_disk,
+        );
+        match mode {
+            CloneMode::Instant => {}
+            CloneMode::Full => {
+                let disk = self
+                    .task_mut(tid)
+                    .work_disk
+                    .take()
+                    .expect("produced by an earlier stage of this task");
+                self.attach_disk(vm, disk);
+            }
+            CloneMode::Linked => {
+                let parent = if shadow {
+                    work_disk.expect("shadow created")
                 } else {
-                    Primitive::PowerOffVm
-                },
-            ),
-            5 => {
-                let res = if on {
-                    self.inv.power_on(vm)
-                } else {
-                    self.inv.power_off(vm)
+                    self.residency
+                        .resident_disk(source, ds)
+                        .expect("checked resident at stage 7")
                 };
-                match res {
-                    Ok(()) => Step::Continue,
-                    Err(e) => Step::Fail(e.to_string()),
-                }
-            }
-            6 => {
-                let d = Self::sample_cost(&self.cfg.cost.db_update, &mut self.rng);
-                Step::Db("update-power-state", d)
-            }
-            7 => {
-                let d = Self::sample_cost(&self.cfg.cost.finalize, &mut self.rng);
-                Step::Cpu("finalize", d)
-            }
-            _ => Step::Done,
-        }
-    }
-
-    fn plan_simple_vm_op(
-        &mut self,
-        tid: TaskId,
-        stage: u32,
-        vm: VmId,
-        primitive: Primitive,
-    ) -> Step {
-        match stage {
-            3 => {
-                let host = match self.inv.vm(vm) {
-                    Some(v) => v.host,
-                    None => return Step::Fail(format!("vm {vm} no longer exists")),
-                };
-                self.tasks
-                    .get_mut(tid)
-                    .expect("task entry outlives its in-flight events")
-                    .placement = Some((
-                    host,
-                    self.inv
-                        .vm(vm)
-                        .expect("vm stays in inventory while its task runs")
-                        .datastore,
-                ));
-                Step::Acquire(Scope::global_only().with_host(host).with_vm(vm))
-            }
-            4 => Step::Agent(self.placed_host(tid), primitive),
-            5 => {
-                let d = Self::sample_cost(&self.cfg.cost.db_update, &mut self.rng);
-                Step::Db("update-config", d)
-            }
-            6 => {
-                let d = Self::sample_cost(&self.cfg.cost.finalize, &mut self.rng);
-                Step::Cpu("finalize", d)
-            }
-            _ => Step::Done,
-        }
-    }
-
-    fn plan_snapshot(&mut self, tid: TaskId, stage: u32, vm: VmId) -> Step {
-        match stage {
-            3 => {
-                let host = match self.inv.vm(vm) {
-                    Some(v) => v.host,
-                    None => return Step::Fail(format!("vm {vm} no longer exists")),
-                };
-                self.tasks
-                    .get_mut(tid)
-                    .expect("task entry outlives its in-flight events")
-                    .placement = Some((
-                    host,
-                    self.inv
-                        .vm(vm)
-                        .expect("vm stays in inventory while its task runs")
-                        .datastore,
-                ));
-                Step::Acquire(Scope::global_only().with_host(host).with_vm(vm))
-            }
-            4 => Step::Agent(self.placed_host(tid), Primitive::CreateSnapshot),
-            5 => {
-                let disk = match self.inv.vm(vm).and_then(|v| v.disks.last().copied()) {
-                    Some(d) => d,
-                    None => return Step::Fail(format!("vm {vm} has no disks to snapshot")),
-                };
-                match self
-                    .storage
-                    .snapshot(&mut self.inv, disk, self.cfg.snapshot_delta_gb)
-                {
-                    Ok(new_top) => {
-                        let v = self
-                            .inv
-                            .vm_mut(vm)
-                            .expect("vm stays in inventory while its task runs");
-                        *v.disks.last_mut().expect("non-empty") = new_top;
-                        Step::Continue
+                let delta =
+                    self.storage
+                        .create_delta(&mut self.inv, parent, self.cfg.linked_delta_gb)?;
+                self.attach_disk(vm, delta);
+                if shadow {
+                    // Several clones may have raced to make the first
+                    // copy on this datastore (the shadow-VM stampede of
+                    // the real stack). The winner's copy becomes the
+                    // resident replica; a loser's copy backs only its own
+                    // clone and is collected when that clone dies.
+                    if self.residency.resident_disk(source, ds).is_none() {
+                        self.residency.seed(source, ds, parent);
+                    } else {
+                        self.storage.detach(&mut self.inv, parent)?;
                     }
-                    Err(e) => Step::Fail(e.to_string()),
+                    self.task_mut(tid).work_disk = None;
                 }
             }
-            6 => {
-                let d = Self::sample_cost(&self.cfg.cost.db_update, &mut self.rng);
-                Step::Db("update-snapshot", d)
-            }
-            7 => {
-                let d = Self::sample_cost(&self.cfg.cost.finalize, &mut self.rng);
-                Step::Cpu("finalize", d)
-            }
-            _ => Step::Done,
         }
+        Ok(())
     }
 
-    fn plan_remove_snapshot(&mut self, tid: TaskId, stage: u32, vm: VmId) -> Step {
-        match stage {
-            3 => {
-                let host = match self.inv.vm(vm) {
-                    Some(v) => v.host,
-                    None => return Step::Fail(format!("vm {vm} no longer exists")),
-                };
-                self.tasks
-                    .get_mut(tid)
-                    .expect("task entry outlives its in-flight events")
-                    .placement = Some((
-                    host,
-                    self.inv
-                        .vm(vm)
-                        .expect("vm stays in inventory while its task runs")
-                        .datastore,
-                ));
-                Step::Acquire(Scope::global_only().with_host(host).with_vm(vm))
-            }
-            4 => Step::Agent(self.placed_host(tid), Primitive::RemoveSnapshot),
-            5 => {
-                let (disk, ds) = match self.inv.vm(vm) {
-                    Some(v) => match v.disks.last().copied() {
-                        Some(d) => (d, v.datastore),
-                        None => return Step::Fail(format!("vm {vm} has no disks")),
-                    },
-                    None => return Step::Fail(format!("vm {vm} no longer exists")),
-                };
-                match self.storage.consolidate(&mut self.inv, disk) {
-                    Ok((merged_into, bytes)) => {
-                        let v = self
-                            .inv
-                            .vm_mut(vm)
-                            .expect("vm stays in inventory while its task runs");
-                        *v.disks.last_mut().expect("non-empty") = merged_into;
-                        Step::Transfer {
-                            src: ds,
-                            dst: ds,
-                            bytes,
-                            label: "snapshot-merge",
-                        }
-                    }
-                    Err(e) => Step::Fail(e.to_string()),
-                }
-            }
-            6 => {
-                let d = Self::sample_cost(&self.cfg.cost.db_update, &mut self.rng);
-                Step::Db("update-snapshot", d)
-            }
-            7 => {
-                let d = Self::sample_cost(&self.cfg.cost.finalize, &mut self.rng);
-                Step::Cpu("finalize", d)
-            }
+    /// Power on/off, reconfigure, snapshot and remove-snapshot: lock the
+    /// VM on its host, run the op's agent primitive, apply its effect to
+    /// inventory or storage, then record and finalize.
+    fn plan_vm_op(&mut self, tid: TaskId, stage: u32, vm: VmId, op: VmOp) -> Plan {
+        Ok(match stage {
+            3 => self.lock_vm(tid, vm)?,
+            4 => Step::Agent(self.placed_host(tid), op.primitive()),
+            5 => self.vm_op_effect(vm, op)?,
+            6 => self.db_step(op.record_label(), |c| &c.db_update),
+            7 => self.cpu_step("finalize", |c| &c.finalize),
             _ => Step::Done,
-        }
+        })
     }
 
-    fn plan_destroy(&mut self, tid: TaskId, stage: u32, vm: VmId) -> Step {
-        match stage {
+    /// What a single-VM op changes once its agent primitive finished.
+    fn vm_op_effect(&mut self, vm: VmId, op: VmOp) -> Plan {
+        Ok(match op {
+            VmOp::PowerOn => {
+                self.inv.power_on(vm)?;
+                Step::Continue
+            }
+            VmOp::PowerOff => {
+                self.inv.power_off(vm)?;
+                Step::Continue
+            }
+            VmOp::Reconfigure => Step::Continue,
+            VmOp::Snapshot => {
+                let disk = self
+                    .inv
+                    .vm(vm)
+                    .and_then(|v| v.disks.last().copied())
+                    .ok_or_else(|| format!("vm {vm} has no disks to snapshot"))?;
+                let new_top =
+                    self.storage
+                        .snapshot(&mut self.inv, disk, self.cfg.snapshot_delta_gb)?;
+                self.replace_top_disk(vm, new_top);
+                Step::Continue
+            }
+            VmOp::RemoveSnapshot => {
+                let v = self
+                    .inv
+                    .vm(vm)
+                    .ok_or_else(|| format!("vm {vm} no longer exists"))?;
+                let ds = v.datastore;
+                let disk = v
+                    .disks
+                    .last()
+                    .copied()
+                    .ok_or_else(|| format!("vm {vm} has no disks"))?;
+                let (merged_into, bytes) = self.storage.consolidate(&mut self.inv, disk)?;
+                self.replace_top_disk(vm, merged_into);
+                Step::Transfer("snapshot-merge", ds, ds, bytes)
+            }
+        })
+    }
+
+    fn replace_top_disk(&mut self, vm: VmId, disk: DiskId) {
+        let v = self
+            .inv
+            .vm_mut(vm)
+            .expect("vm stays in inventory while its task runs");
+        *v.disks.last_mut().expect("non-empty") = disk;
+    }
+
+    fn plan_destroy(&mut self, tid: TaskId, stage: u32, vm: VmId) -> Plan {
+        Ok(match stage {
             3 => {
-                let v = match self.inv.vm(vm) {
-                    Some(v) => v,
-                    None => return Step::Fail(format!("vm {vm} no longer exists")),
-                };
-                if v.power == PowerState::On {
-                    return Step::Fail(format!("vm {vm} is powered on"));
+                if self.inv.vm(vm).is_some_and(|v| v.power == PowerState::On) {
+                    return Err(format!("vm {vm} is powered on").into());
                 }
-                self.tasks
-                    .get_mut(tid)
-                    .expect("task entry outlives its in-flight events")
-                    .placement = Some((v.host, v.datastore));
-                Step::Acquire(Scope::global_only().with_host(v.host).with_vm(vm))
+                self.lock_vm(tid, vm)?
             }
             4 => Step::Agent(self.placed_host(tid), Primitive::UnregisterVm),
             5 => Step::Agent(self.placed_host(tid), Primitive::DeleteVmFiles),
             6 => {
-                let disks = match self.inv.vm(vm) {
-                    Some(v) => v.disks.clone(),
-                    None => return Step::Fail(format!("vm {vm} vanished mid-destroy")),
-                };
+                let disks = self
+                    .inv
+                    .vm(vm)
+                    .ok_or_else(|| format!("vm {vm} vanished mid-destroy"))?
+                    .disks
+                    .clone();
                 for d in disks {
-                    if let Err(e) = self.storage.detach(&mut self.inv, d) {
-                        return Step::Fail(e.to_string());
-                    }
+                    self.storage.detach(&mut self.inv, d)?;
                 }
-                if let Err(e) = self.inv.destroy_vm(vm) {
-                    return Step::Fail(e.to_string());
-                }
+                self.inv.destroy_vm(vm)?;
                 Step::Continue
             }
-            7 => {
-                let d = Self::sample_cost(&self.cfg.cost.result_processing, &mut self.rng);
-                Step::Cpu("result-processing", d)
-            }
-            8 => {
-                let d = Self::sample_cost(&self.cfg.cost.db_delete, &mut self.rng);
-                Step::Db("delete-records", d)
-            }
-            9 => {
-                let d = Self::sample_cost(&self.cfg.cost.finalize, &mut self.rng);
-                Step::Cpu("finalize", d)
-            }
+            7 => self.cpu_step("result-processing", |c| &c.result_processing),
+            8 => self.db_step("delete-records", |c| &c.db_delete),
+            9 => self.cpu_step("finalize", |c| &c.finalize),
             _ => Step::Done,
-        }
+        })
     }
 
-    fn plan_migrate(&mut self, tid: TaskId, stage: u32, vm: VmId) -> Step {
-        match stage {
+    fn plan_migrate(&mut self, tid: TaskId, stage: u32, vm: VmId) -> Plan {
+        Ok(match stage {
             3 => self.placement_step(),
             4 => {
-                let (src_host, ds, mem) = match self.inv.vm(vm) {
-                    Some(v) => (v.host, v.datastore, v.spec.mem_mb),
-                    None => return Step::Fail(format!("vm {vm} no longer exists")),
-                };
-                let Some(dst_host) = self.placer.pick_host(&self.inv, ds, mem, Some(src_host))
-                else {
-                    return Step::Fail("migration placement failed: no destination host".into());
-                };
-                self.tasks
-                    .get_mut(tid)
-                    .expect("task entry outlives its in-flight events")
-                    .placement = Some((dst_host, ds));
+                let (src_host, ds, mem) = self
+                    .inv
+                    .vm(vm)
+                    .map(|v| (v.host, v.datastore, v.spec.mem_mb))
+                    .ok_or_else(|| format!("vm {vm} no longer exists"))?;
+                let dst_host = Placer
+                    .pick_host(&self.inv, ds, mem, Some(src_host))
+                    .ok_or("migration placement failed: no destination host")?;
+                self.task_mut(tid).placement = Some((dst_host, ds));
                 Step::Acquire(
                     Scope::global_only()
                         .with_host(src_host)
@@ -1864,101 +1566,64 @@ impl ControlPlane {
                         .with_vm(vm),
                 )
             }
-            5 => {
-                let src_host = match self.inv.vm(vm) {
-                    Some(v) => v.host,
-                    None => return Step::Fail("vm vanished".into()),
-                };
-                Step::Agent(src_host, Primitive::MigrateSource)
-            }
+            5 => Step::Agent(
+                self.inv.vm(vm).ok_or("vm vanished")?.host,
+                Primitive::MigrateSource,
+            ),
             6 => Step::Agent(self.placed_host(tid), Primitive::MigrateDest),
             7 => {
                 let dst = self.placed_host(tid);
-                match self.inv.relocate_vm(vm, dst) {
-                    Ok(()) => Step::Continue,
-                    Err(e) => Step::Fail(e.to_string()),
-                }
+                self.inv.relocate_vm(vm, dst)?;
+                Step::Continue
             }
-            8 => {
-                let d = Self::sample_cost(&self.cfg.cost.db_update, &mut self.rng);
-                Step::Db("update-placement", d)
-            }
-            9 => {
-                let d = Self::sample_cost(&self.cfg.cost.finalize, &mut self.rng);
-                Step::Cpu("finalize", d)
-            }
+            8 => self.db_step("update-placement", |c| &c.db_update),
+            9 => self.cpu_step("finalize", |c| &c.finalize),
             _ => Step::Done,
-        }
+        })
     }
 
-    fn plan_relocate(&mut self, tid: TaskId, stage: u32, vm: VmId, dst: DatastoreId) -> Step {
-        match stage {
+    fn plan_relocate(&mut self, tid: TaskId, stage: u32, vm: VmId, dst: DatastoreId) -> Plan {
+        Ok(match stage {
             3 => {
-                let v = match self.inv.vm(vm) {
-                    Some(v) => v,
-                    None => return Step::Fail(format!("vm {vm} no longer exists")),
-                };
+                let v = self
+                    .inv
+                    .vm(vm)
+                    .ok_or_else(|| format!("vm {vm} no longer exists"))?;
                 if v.datastore == dst {
-                    return Step::Fail("relocate source and destination are the same".into());
+                    return Err("relocate source and destination are the same".into());
                 }
-                self.tasks
-                    .get_mut(tid)
-                    .expect("task entry outlives its in-flight events")
-                    .placement = Some((v.host, dst));
+                let host = v.host;
+                self.task_mut(tid).placement = Some((host, dst));
                 Step::Acquire(
                     Scope::global_only()
-                        .with_host(v.host)
+                        .with_host(host)
                         .with_datastore(dst)
                         .with_vm(vm),
                 )
             }
             4 => {
-                let (src_ds, total_gb) = match self.inv.vm(vm) {
-                    Some(v) => {
-                        let total: f64 = v
-                            .disks
-                            .iter()
-                            .filter_map(|d| self.storage.disk(*d))
-                            .map(|d| d.allocated_gb)
-                            .sum();
-                        (v.datastore, total)
-                    }
-                    None => return Step::Fail("vm vanished".into()),
-                };
-                if self.faults.as_ref().is_some_and(|i| i.ds_down(dst)) {
-                    return Step::FailRetryable(format!("datastore {dst} unavailable"));
-                }
-                let new_disk = match self.storage.create_base(&mut self.inv, dst, total_gb) {
-                    Ok(d) => d,
-                    Err(e) => return Step::Fail(e.to_string()),
-                };
-                self.tasks
-                    .get_mut(tid)
-                    .expect("task entry outlives its in-flight events")
-                    .work_disk = Some(new_disk);
-                Step::Transfer {
-                    src: src_ds,
-                    dst,
-                    bytes: total_gb * GIB,
-                    label: "relocate-copy",
-                }
+                let v = self.inv.vm(vm).ok_or("vm vanished")?;
+                let src_ds = v.datastore;
+                let total_gb: f64 = v
+                    .disks
+                    .iter()
+                    .filter_map(|d| self.storage.disk(*d))
+                    .map(|d| d.allocated_gb)
+                    .sum();
+                self.datastore_up(dst)?;
+                let new_disk = self.storage.create_base(&mut self.inv, dst, total_gb)?;
+                self.task_mut(tid).work_disk = Some(new_disk);
+                Step::Transfer("relocate-copy", src_ds, dst, total_gb * GIB)
             }
             5 => {
                 let new_disk = self
-                    .tasks
-                    .get_mut(tid)
-                    .expect("task entry outlives its in-flight events")
+                    .task_mut(tid)
                     .work_disk
                     .take()
                     .expect("produced by an earlier stage of this task");
-                let old_disks = match self.inv.vm(vm) {
-                    Some(v) => v.disks.clone(),
-                    None => return Step::Fail("vm vanished".into()),
-                };
+                let old_disks = self.inv.vm(vm).ok_or("vm vanished")?.disks.clone();
                 for d in old_disks {
-                    if let Err(e) = self.storage.detach(&mut self.inv, d) {
-                        return Step::Fail(e.to_string());
-                    }
+                    self.storage.detach(&mut self.inv, d)?;
                 }
                 let v = self
                     .inv
@@ -1969,70 +1634,44 @@ impl ControlPlane {
                 Step::Continue
             }
             6 => Step::Agent(self.placed_host(tid), Primitive::ReconfigureVm),
-            7 => {
-                let d = Self::sample_cost(&self.cfg.cost.db_update, &mut self.rng);
-                Step::Db("update-placement", d)
-            }
-            8 => {
-                let d = Self::sample_cost(&self.cfg.cost.finalize, &mut self.rng);
-                Step::Cpu("finalize", d)
-            }
+            7 => self.db_step("update-placement", |c| &c.db_update),
+            8 => self.cpu_step("finalize", |c| &c.finalize),
             _ => Step::Done,
-        }
+        })
     }
 
-    fn plan_seed(&mut self, tid: TaskId, stage: u32, template: VmId, dst: DatastoreId) -> Step {
-        match stage {
+    fn plan_seed(&mut self, tid: TaskId, stage: u32, template: VmId, dst: DatastoreId) -> Plan {
+        Ok(match stage {
             3 => {
                 if self.residency.is_resident(template, dst) {
-                    return Step::Fail(format!("template {template} already resident on {dst}"));
+                    return Err(format!("template {template} already resident on {dst}").into());
                 }
                 Step::Acquire(Scope::global_only().with_datastore(dst))
             }
             4 => {
-                let (src_ds, gb) = match self.inv.vm(template) {
-                    Some(v) => (v.datastore, v.spec.disk_gb),
-                    None => return Step::Fail(format!("template {template} no longer exists")),
-                };
-                if self.faults.as_ref().is_some_and(|i| i.ds_down(dst)) {
-                    return Step::FailRetryable(format!("datastore {dst} unavailable"));
-                }
-                let disk = match self.storage.create_base(&mut self.inv, dst, gb) {
-                    Ok(d) => d,
-                    Err(e) => return Step::Fail(e.to_string()),
-                };
-                self.tasks
-                    .get_mut(tid)
-                    .expect("task entry outlives its in-flight events")
-                    .work_disk = Some(disk);
-                Step::Transfer {
-                    src: src_ds,
-                    dst,
-                    bytes: gb * GIB,
-                    label: "seed-copy",
-                }
+                let (src_ds, gb) = self
+                    .inv
+                    .vm(template)
+                    .map(|v| (v.datastore, v.spec.disk_gb))
+                    .ok_or_else(|| format!("template {template} no longer exists"))?;
+                self.datastore_up(dst)?;
+                let disk = self.storage.create_base(&mut self.inv, dst, gb)?;
+                self.task_mut(tid).work_disk = Some(disk);
+                Step::Transfer("seed-copy", src_ds, dst, gb * GIB)
             }
             5 => {
                 let disk = self
-                    .tasks
-                    .get_mut(tid)
-                    .expect("task entry outlives its in-flight events")
+                    .task_mut(tid)
                     .work_disk
                     .take()
                     .expect("produced by an earlier stage of this task");
                 self.residency.seed(template, dst, disk);
                 Step::Continue
             }
-            6 => {
-                let d = Self::sample_cost(&self.cfg.cost.db_insert, &mut self.rng);
-                Step::Db("insert-replica", d)
-            }
-            7 => {
-                let d = Self::sample_cost(&self.cfg.cost.finalize, &mut self.rng);
-                Step::Cpu("finalize", d)
-            }
+            6 => self.db_step("insert-replica", |c| &c.db_insert),
+            7 => self.cpu_step("finalize", |c| &c.finalize),
             _ => Step::Done,
-        }
+        })
     }
 
     fn plan_add_host(
@@ -2043,22 +1682,14 @@ impl ControlPlane {
         spec: HostSpec,
         datastores: Vec<DatastoreId>,
         out: &mut Vec<Emit>,
-    ) -> Step {
-        match stage {
-            3 => {
-                let d = Self::sample_cost(&self.cfg.cost.host_sync, &mut self.rng);
-                Step::Cpu("host-sync", d)
-            }
-            4 => {
-                let d = Self::sample_cost(&self.cfg.cost.db_insert, &mut self.rng);
-                Step::Db("insert-host", d)
-            }
+    ) -> Plan {
+        Ok(match stage {
+            3 => self.cpu_step("host-sync", |c| &c.host_sync),
+            4 => self.db_step("insert-host", |c| &c.db_insert),
             5 => {
                 let host = self.inv.add_host(spec);
                 for ds in &datastores {
-                    if let Err(e) = self.inv.connect_host_datastore(host, *ds) {
-                        return Step::Fail(e.to_string());
-                    }
+                    self.inv.connect_host_datastore(host, *ds)?;
                 }
                 self.agents.add_host(host, self.cfg.agent_concurrency);
                 let slot = self.heartbeat_hosts.len();
@@ -2069,59 +1700,32 @@ impl ControlPlane {
                         MgmtEvent::Heartbeat { slot },
                     ));
                 }
-                self.tasks
-                    .get_mut(tid)
-                    .expect("task entry outlives its in-flight events")
-                    .placement = datastores.first().map(|ds| (host, *ds));
+                self.task_mut(tid).placement = datastores.first().map(|ds| (host, *ds));
                 Step::Continue
             }
-            6 => {
-                let d = Self::sample_cost(&self.cfg.cost.finalize, &mut self.rng);
-                Step::Cpu("finalize", d)
-            }
+            6 => self.cpu_step("finalize", |c| &c.finalize),
             _ => Step::Done,
-        }
+        })
     }
 
-    fn plan_rescan(&mut self, tid: TaskId, stage: u32, host: HostId) -> Step {
-        match stage {
+    fn plan_rescan(&mut self, tid: TaskId, stage: u32, host: HostId) -> Plan {
+        Ok(match stage {
             3 => {
-                if self.inv.host(host).is_none() {
-                    return Step::Fail(format!("host {host} no longer exists"));
-                }
                 let ds = self
                     .inv
                     .host(host)
-                    .expect("host records persist for the whole run")
+                    .ok_or_else(|| format!("host {host} no longer exists"))?
                     .datastores
                     .first()
                     .copied();
-                self.tasks
-                    .get_mut(tid)
-                    .expect("task entry outlives its in-flight events")
-                    .placement = ds.map(|d| (host, d));
+                self.task_mut(tid).placement = ds.map(|d| (host, d));
                 Step::Acquire(Scope::global_only().with_host(host))
             }
             4 => Step::Agent(host, Primitive::MountDatastore),
-            5 => {
-                let d = Self::sample_cost(&self.cfg.cost.db_update, &mut self.rng);
-                Step::Db("update-storage", d)
-            }
-            6 => {
-                let d = Self::sample_cost(&self.cfg.cost.finalize, &mut self.rng);
-                Step::Cpu("finalize", d)
-            }
+            5 => self.db_step("update-storage", |c| &c.db_update),
+            6 => self.cpu_step("finalize", |c| &c.finalize),
             _ => Step::Done,
-        }
-    }
-
-    fn placed_host(&self, tid: TaskId) -> HostId {
-        self.tasks
-            .get(tid)
-            .expect("task entry outlives its in-flight events")
-            .placement
-            .expect("placement made before agent phases")
-            .0
+        })
     }
 }
 

@@ -4,8 +4,8 @@
 use cpsim_des::{EventQueue, SimTime, Streams};
 use cpsim_inventory::{DatastoreId, DatastoreSpec, HostId, HostSpec, PowerState, VmId, VmSpec};
 use cpsim_mgmt::{
-    AdmissionLimits, CloneMode, ControlPlane, ControlPlaneConfig, Emit, MgmtEvent, OpKind,
-    TaskReport,
+    AdmissionLimits, CloneMode, ControlPlane, ControlPlaneConfig, Emit, FaultKind, MgmtEvent,
+    OpKind, RecoveryPolicy, TaskReport,
 };
 
 /// Drives the plane until the event queue drains or `horizon` passes.
@@ -609,4 +609,268 @@ fn stats_accumulate_per_kind() {
     assert!(stats
         .phase_totals()
         .any(|(k, c, l, _, _)| k == "clone-linked" && c == "cpu" && l == "placement"));
+}
+
+// ---- golden phase programs ----------------------------------------------
+//
+// Every operation kind runs once on a fresh rig with a fixed seed, and its
+// report is pinned exactly: the `(class, label)` breakdown in charge order,
+// the latency in microseconds and the retry count. The latency depends on
+// every cost sample the program draws, so this locks the RNG draw order of
+// each phase program as well as its shape.
+
+/// One report's fingerprint: `class/label` per charged phase, then the
+/// latency and the retry count.
+fn fingerprint(report: &TaskReport) -> String {
+    assert!(report.is_success(), "{}: {:?}", report.kind, report.error);
+    let phases: Vec<String> = report
+        .breakdown
+        .iter()
+        .map(|(class, label, _)| format!("{}/{label}", class.name()))
+        .collect();
+    format!(
+        "{} latency={}us retries={}",
+        phases.join(" "),
+        report.latency.as_micros(),
+        report.retries
+    )
+}
+
+/// Builds a fresh rig, lets `setup` prepare it (setup helpers draw no
+/// randomness; a prerequisite operation it drives must finish within the
+/// first hour) and name the operation, then runs that operation alone at
+/// the one-hour mark and returns its report.
+fn golden_run(setup: impl FnOnce(&mut Rig) -> OpKind) -> TaskReport {
+    let mut r = rig();
+    let op = setup(&mut r);
+    let emits = r.plane.submit_collect(SimTime::from_hours(1), op);
+    let mut reports = drive(&mut r.plane, emits, FAR);
+    assert_eq!(reports.len(), 1);
+    reports.remove(0)
+}
+
+/// A plain 10 GiB VM on host 0 / datastore 0.
+fn install_plain(r: &mut Rig, powered_on: bool) -> VmId {
+    r.plane
+        .install_vm(
+            "plain",
+            VmSpec::new(1, 1_024, 10.0),
+            r.hosts[0],
+            r.datastores[0],
+            powered_on,
+        )
+        .unwrap()
+}
+
+#[test]
+fn golden_phase_programs_pin_breakdown_and_latency() {
+    let clone = |mode: CloneMode| {
+        move |r: &mut Rig| OpKind::CloneVm {
+            source: r.template,
+            mode,
+        }
+    };
+    let cases: Vec<(&str, TaskReport)> = vec![
+        (
+            "create",
+            golden_run(|_| OpKind::CreateVm {
+                spec: VmSpec::new(1, 1_024, 10.0),
+            }),
+        ),
+        ("clone-full", golden_run(clone(CloneMode::Full))),
+        (
+            "clone-linked-resident",
+            golden_run(|r| {
+                // Resident on both datastores: no shadow copy wherever
+                // placement lands.
+                r.plane
+                    .seed_template_now(r.template, r.datastores[1])
+                    .unwrap();
+                OpKind::CloneVm {
+                    source: r.template,
+                    mode: CloneMode::Linked,
+                }
+            }),
+        ),
+        // The emptier datastore does not hold the template yet.
+        ("clone-linked-shadow", golden_run(clone(CloneMode::Linked))),
+        ("clone-instant", golden_run(clone(CloneMode::Instant))),
+        (
+            "power-on",
+            golden_run(|r| OpKind::PowerOn {
+                vm: install_plain(r, false),
+            }),
+        ),
+        (
+            "power-off",
+            golden_run(|r| OpKind::PowerOff {
+                vm: install_plain(r, true),
+            }),
+        ),
+        (
+            "reconfigure",
+            golden_run(|r| OpKind::Reconfigure {
+                vm: install_plain(r, true),
+            }),
+        ),
+        (
+            "snapshot",
+            golden_run(|r| OpKind::Snapshot {
+                vm: install_plain(r, true),
+            }),
+        ),
+        (
+            "remove-snapshot",
+            golden_run(|r| {
+                // Take the snapshot first (its own program runs to
+                // completion before the pinned operation is submitted).
+                let vm = install_plain(r, true);
+                let emits = r
+                    .plane
+                    .submit_collect(SimTime::ZERO, OpKind::Snapshot { vm });
+                assert!(drive(&mut r.plane, emits, FAR)[0].is_success());
+                OpKind::RemoveSnapshot { vm }
+            }),
+        ),
+        (
+            "destroy",
+            golden_run(|r| OpKind::DestroyVm {
+                vm: install_plain(r, false),
+            }),
+        ),
+        (
+            "migrate",
+            golden_run(|r| OpKind::MigrateVm {
+                vm: install_plain(r, true),
+            }),
+        ),
+        (
+            "relocate",
+            golden_run(|r| OpKind::RelocateVm {
+                vm: install_plain(r, false),
+                dst: r.datastores[1],
+            }),
+        ),
+        (
+            "seed-template",
+            golden_run(|r| OpKind::SeedTemplate {
+                template: r.template,
+                dst: r.datastores[1],
+            }),
+        ),
+        (
+            "add-host",
+            golden_run(|r| {
+                OpKind::add_host(
+                    HostSpec::new("h-new", 48_000, 262_144),
+                    r.datastores.clone(),
+                )
+            }),
+        ),
+        (
+            "rescan",
+            golden_run(|r| OpKind::RescanDatastores { host: r.hosts[1] }),
+        ),
+    ];
+    let got: Vec<String> = cases
+        .iter()
+        .map(|(name, rep)| format!("{name}: {}", fingerprint(rep)))
+        .collect();
+    let want = [
+        "create: cpu/api-ingress db/task-record cpu/placement db/insert-vm \
+         host-agent/create-vm-files host-agent/register-vm cpu/result-processing \
+         db/finalize-records cpu/finalize latency=3227499us retries=0",
+        "clone-full: cpu/api-ingress db/task-record cpu/placement host-agent/prepare-clone \
+         db/insert-vm data-transfer/clone-copy host-agent/finalize-clone host-agent/register-vm \
+         cpu/result-processing db/finalize-records cpu/finalize latency=208726345us retries=0",
+        "clone-linked-resident: cpu/api-ingress db/task-record cpu/placement \
+         host-agent/prepare-clone db/insert-vm data-transfer/clone-metadata \
+         host-agent/finalize-clone host-agent/register-vm cpu/result-processing \
+         db/finalize-records cpu/finalize latency=4086345us retries=0",
+        "clone-linked-shadow: cpu/api-ingress db/task-record cpu/placement \
+         host-agent/prepare-clone db/insert-vm data-transfer/shadow-copy \
+         host-agent/finalize-clone host-agent/register-vm cpu/result-processing \
+         db/finalize-records cpu/finalize latency=208726345us retries=0",
+        "clone-instant: cpu/api-ingress db/task-record cpu/placement host-agent/instant-fork \
+         db/insert-vm host-agent/register-vm cpu/result-processing db/finalize-records \
+         cpu/finalize latency=1837863us retries=0",
+        "power-on: cpu/api-ingress db/task-record host-agent/power-on-vm \
+         db/update-power-state cpu/finalize latency=6352664us retries=0",
+        "power-off: cpu/api-ingress db/task-record host-agent/power-off-vm \
+         db/update-power-state cpu/finalize latency=3460424us retries=0",
+        "reconfigure: cpu/api-ingress db/task-record host-agent/reconfigure-vm \
+         db/update-config cpu/finalize latency=4612502us retries=0",
+        "snapshot: cpu/api-ingress db/task-record host-agent/create-snapshot \
+         db/update-snapshot cpu/finalize latency=5610119us retries=0",
+        "remove-snapshot: cpu/api-ingress db/task-record host-agent/remove-snapshot \
+         data-transfer/snapshot-merge db/update-snapshot cpu/finalize \
+         latency=6140456us retries=0",
+        "destroy: cpu/api-ingress db/task-record host-agent/unregister-vm \
+         host-agent/delete-vm-files cpu/result-processing db/delete-records cpu/finalize \
+         latency=2049868us retries=0",
+        "migrate: cpu/api-ingress db/task-record cpu/placement host-agent/migrate-source \
+         host-agent/migrate-dest db/update-placement cpu/finalize latency=9391691us retries=0",
+        "relocate: cpu/api-ingress db/task-record data-transfer/relocate-copy \
+         host-agent/reconfigure-vm db/update-placement cpu/finalize \
+         latency=107012502us retries=0",
+        "seed-template: cpu/api-ingress db/task-record data-transfer/seed-copy \
+         db/insert-replica cpu/finalize latency=205010633us retries=0",
+        "add-host: cpu/api-ingress db/task-record cpu/host-sync db/insert-host cpu/finalize \
+         latency=24604133us retries=0",
+        "rescan: cpu/api-ingress db/task-record host-agent/mount-datastore \
+         db/update-storage cpu/finalize latency=8061715us retries=0",
+    ];
+    assert_eq!(got.len(), want.len());
+    for (got, want) in got.iter().zip(want) {
+        assert_eq!(got, want);
+    }
+}
+
+#[test]
+fn golden_datastore_outage_replays_the_failed_stage() {
+    // The destination datastore (creation index 1) goes dark just before
+    // the copy stage, so the stage fails, backs off and replays until the
+    // outage ends. The retry count and the backoff jitter land in the
+    // pinned fingerprint.
+    let run = |op: fn(&Rig) -> OpKind| {
+        let mut r = rig();
+        r.plane.enable_faults(
+            RecoveryPolicy::default(),
+            0.0,
+            Streams::new(42).rng(Streams::FAULTS),
+        );
+        let outage = Emit::At(
+            SimTime::from_hours(1),
+            MgmtEvent::Fault(FaultKind::DatastoreOutage {
+                ds: 1,
+                duration: cpsim_des::SimDuration::from_secs(12),
+            }),
+        );
+        let op = op(&r);
+        let mut emits = vec![outage];
+        emits.extend(r.plane.submit_collect(SimTime::from_hours(1), op));
+        let mut reports = drive(&mut r.plane, emits, FAR);
+        assert_eq!(reports.len(), 1);
+        fingerprint(&reports.remove(0))
+    };
+    let seed = run(|r| OpKind::SeedTemplate {
+        template: r.template,
+        dst: r.datastores[1],
+    });
+    let relocate = run(|r| OpKind::RelocateVm {
+        vm: r.template,
+        dst: r.datastores[1],
+    });
+    // Only the failed stage replays: the prelude is charged once.
+    assert_eq!(
+        seed,
+        "cpu/api-ingress db/task-record data-transfer/seed-copy db/insert-replica \
+         cpu/finalize latency=219979308us retries=3"
+    );
+    assert_eq!(
+        relocate,
+        "cpu/api-ingress db/task-record data-transfer/relocate-copy \
+         host-agent/reconfigure-vm db/update-placement cpu/finalize \
+         latency=224381177us retries=3"
+    );
 }
