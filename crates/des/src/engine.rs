@@ -7,7 +7,7 @@ use crate::time::SimTime;
 use crate::wheel::EventQueue;
 
 /// Process-wide tally of events handled by every [`Simulation`], flushed at
-/// the end of each `run_*` call (so the per-event hot path never touches
+/// the end of each `run_until` call (so the per-event hot path never touches
 /// shared state). The `cpsim-bench` harness snapshots it around an
 /// experiment to report events/sec; with parallel sweeps the workers have
 /// all joined by then, so the delta is exact.
@@ -16,8 +16,8 @@ static GLOBAL_EVENTS: AtomicU64 = AtomicU64::new(0);
 /// Total events processed by all simulations in this process so far.
 ///
 /// Monotonic; take a snapshot before and after a region to attribute a
-/// delta to it. Only updated when a `run_*` call returns (single
-/// [`Simulation::step`] calls are flushed on the next `run_*`).
+/// delta to it. Only updated when a `run_until` call returns (single
+/// [`Simulation::step`] calls are flushed on the next `run_until`).
 pub fn global_events_processed() -> u64 {
     GLOBAL_EVENTS.load(Ordering::Relaxed)
 }
@@ -32,17 +32,6 @@ pub trait Model {
 
     /// Reacts to `event` occurring at `now`.
     fn handle(&mut self, now: SimTime, event: Self::Event, queue: &mut EventQueue<Self::Event>);
-}
-
-/// Why a call to [`Simulation::run_until`] returned.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum RunOutcome {
-    /// The event queue drained before the horizon.
-    Drained,
-    /// The horizon was reached with events still pending.
-    HorizonReached,
-    /// The event budget was exhausted (see [`Simulation::set_event_limit`]).
-    EventLimit,
 }
 
 /// Ceiling on `size_of::<M::Event>()`, enforced at compile time by
@@ -64,7 +53,6 @@ pub struct Simulation<M: Model> {
     processed: u64,
     /// Portion of `processed` already flushed to [`GLOBAL_EVENTS`].
     flushed: u64,
-    event_limit: u64,
 }
 
 impl<M: Model> Simulation<M> {
@@ -82,7 +70,6 @@ impl<M: Model> Simulation<M> {
             now: SimTime::ZERO,
             processed: 0,
             flushed: 0,
-            event_limit: u64::MAX,
         }
     }
 
@@ -94,14 +81,6 @@ impl<M: Model> Simulation<M> {
     pub fn schedule(&mut self, time: SimTime, event: M::Event) {
         assert!(time >= self.now, "cannot schedule into the past");
         self.queue.schedule(time, event);
-    }
-
-    /// Caps the total number of events processed over the simulation's
-    /// lifetime; `run_*` returns [`RunOutcome::EventLimit`] when exceeded.
-    ///
-    /// This is a safety net against accidental event storms in tests.
-    pub fn set_event_limit(&mut self, limit: u64) {
-        self.event_limit = limit;
     }
 
     /// Current simulation time (the timestamp of the last processed event).
@@ -123,11 +102,6 @@ impl<M: Model> Simulation<M> {
     /// between runs).
     pub fn model_mut(&mut self) -> &mut M {
         &mut self.model
-    }
-
-    /// Consumes the simulation and returns the model.
-    pub fn into_model(self) -> M {
-        self.model
     }
 
     /// The timestamp of the next pending event, if any.
@@ -154,70 +128,27 @@ impl<M: Model> Simulation<M> {
         }
     }
 
-    /// Runs until the queue drains, the event budget is exhausted, or the
-    /// next event would fire strictly after `horizon`.
+    /// Runs until the queue drains or the next event would fire strictly
+    /// after `horizon`.
     ///
-    /// On return the clock is `max(now, horizon)` unless the event budget
-    /// stopped the run, so consecutive horizons compose:
-    /// `run_until(a); run_until(b)` with `a <= b` is equivalent to
+    /// On return the clock is `max(now, horizon)`, so consecutive horizons
+    /// compose: `run_until(a); run_until(b)` with `a <= b` is equivalent to
     /// `run_until(b)`.
     ///
     /// The hot path is a single fused
     /// [`pop_if_before`](EventQueue::pop_if_before) per event instead of
     /// the peek-compare-pop sequence a naive loop would issue.
-    pub fn run_until(&mut self, horizon: SimTime) -> RunOutcome {
-        let outcome = loop {
-            if self.processed >= self.event_limit {
-                match self.queue.next_time() {
-                    Some(t) if t <= horizon => break RunOutcome::EventLimit,
-                    Some(_) => {
-                        self.now = horizon;
-                        break RunOutcome::HorizonReached;
-                    }
-                    None => {
-                        if self.now < horizon {
-                            self.now = horizon;
-                        }
-                        break RunOutcome::Drained;
-                    }
-                }
-            }
-            match self.queue.pop_if_before(horizon) {
-                Some((time, event)) => {
-                    debug_assert!(time >= self.now, "event queue went backwards");
-                    self.now = time;
-                    self.processed += 1;
-                    self.model.handle(time, event, &mut self.queue);
-                }
-                None if self.queue.is_empty() => {
-                    if self.now < horizon {
-                        self.now = horizon;
-                    }
-                    break RunOutcome::Drained;
-                }
-                None => {
-                    self.now = horizon;
-                    break RunOutcome::HorizonReached;
-                }
-            }
-        };
+    pub fn run_until(&mut self, horizon: SimTime) {
+        while let Some((time, event)) = self.queue.pop_if_before(horizon) {
+            debug_assert!(time >= self.now, "event queue went backwards");
+            self.now = time;
+            self.processed += 1;
+            self.model.handle(time, event, &mut self.queue);
+        }
+        if self.now < horizon {
+            self.now = horizon;
+        }
         self.flush_events();
-        outcome
-    }
-
-    /// Runs until the event queue is empty (or the event budget is hit).
-    pub fn run_to_completion(&mut self) -> RunOutcome {
-        let outcome = loop {
-            if self.queue.is_empty() {
-                break RunOutcome::Drained;
-            }
-            if self.processed >= self.event_limit {
-                break RunOutcome::EventLimit;
-            }
-            self.step();
-        };
-        self.flush_events();
-        outcome
     }
 
     /// Adds events processed since the last flush to the process-wide
@@ -274,14 +205,17 @@ mod tests {
             ..Default::default()
         });
         sim.schedule(SimTime::ZERO, Ev::N(0));
-        let outcome = sim.run_until(SimTime::from_secs(4));
-        assert_eq!(outcome, RunOutcome::HorizonReached);
+        sim.run_until(SimTime::from_secs(4));
         assert_eq!(sim.model().seen.len(), 5); // events at t = 0..=4
         assert_eq!(sim.now(), SimTime::from_secs(4));
 
+        // A horizon behind the clock processes nothing and never rewinds it.
+        sim.run_until(SimTime::from_secs(2));
+        assert_eq!(sim.model().seen.len(), 5);
+        assert_eq!(sim.now(), SimTime::from_secs(4));
+
         // Continuing to a later horizon picks up where we left off.
-        let outcome = sim.run_until(SimTime::from_secs(100));
-        assert_eq!(outcome, RunOutcome::Drained);
+        sim.run_until(SimTime::from_secs(100));
         assert_eq!(sim.model().seen.len(), 11);
         assert_eq!(sim.now(), SimTime::from_secs(100));
     }
@@ -289,41 +223,8 @@ mod tests {
     #[test]
     fn drained_advances_clock_to_horizon() {
         let mut sim = Simulation::new(Counter::default());
-        assert_eq!(sim.run_until(SimTime::from_secs(9)), RunOutcome::Drained);
+        sim.run_until(SimTime::from_secs(9));
         assert_eq!(sim.now(), SimTime::from_secs(9));
-    }
-
-    #[test]
-    fn event_limit_stops_runaway() {
-        let mut sim = Simulation::new(Counter {
-            respawn: true,
-            ..Default::default()
-        });
-        sim.set_event_limit(3);
-        sim.schedule(SimTime::ZERO, Ev::N(0));
-        assert_eq!(sim.run_to_completion(), RunOutcome::EventLimit);
-        assert_eq!(sim.events_processed(), 3);
-    }
-
-    #[test]
-    fn event_limit_stops_run_until_and_resumes() {
-        let mut sim = Simulation::new(Counter {
-            respawn: true,
-            ..Default::default()
-        });
-        sim.set_event_limit(2);
-        sim.schedule(SimTime::ZERO, Ev::N(0));
-        assert_eq!(
-            sim.run_until(SimTime::from_secs(100)),
-            RunOutcome::EventLimit
-        );
-        assert_eq!(sim.events_processed(), 2);
-        // The clock stays at the last processed event, not the horizon.
-        assert_eq!(sim.now(), SimTime::from_secs(1));
-        // Raising the budget resumes cleanly.
-        sim.set_event_limit(u64::MAX);
-        assert_eq!(sim.run_until(SimTime::from_secs(100)), RunOutcome::Drained);
-        assert_eq!(sim.model().seen.len(), 11);
     }
 
     #[test]
@@ -334,7 +235,7 @@ mod tests {
             ..Default::default()
         });
         sim.schedule(SimTime::ZERO, Ev::N(0));
-        sim.run_to_completion();
+        sim.run_until(SimTime::from_secs(100));
         // Other tests on sibling threads may also bump the counter, so
         // only a lower bound is assertable.
         assert!(global_events_processed() - before >= 11);
@@ -345,7 +246,7 @@ mod tests {
     fn scheduling_into_past_panics() {
         let mut sim = Simulation::new(Counter::default());
         sim.schedule(SimTime::from_secs(1), Ev::N(1));
-        sim.run_to_completion();
+        sim.run_until(SimTime::from_secs(1));
         sim.schedule(SimTime::ZERO, Ev::N(0));
     }
 
@@ -368,6 +269,6 @@ mod tests {
         assert!(!sim.step());
         sim.schedule(SimTime::ZERO, Ev::N(7));
         assert!(sim.step());
-        assert_eq!(sim.into_model().seen, vec![(SimTime::ZERO, 7)]);
+        assert_eq!(sim.model().seen, vec![(SimTime::ZERO, 7)]);
     }
 }

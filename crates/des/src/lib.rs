@@ -41,9 +41,9 @@
 //!
 //! let mut sim = Simulation::new(Ping { remaining: 2, fired_at: Vec::new() });
 //! sim.schedule(SimTime::ZERO, Ev::Tick);
-//! sim.run_to_completion();
+//! sim.run_until(SimTime::from_secs(10));
 //! assert_eq!(sim.model().fired_at.len(), 3);
-//! assert_eq!(sim.now(), SimTime::from_secs(2));
+//! assert_eq!(sim.now(), SimTime::from_secs(10));
 //! ```
 
 pub mod dist;
@@ -56,7 +56,7 @@ pub mod time;
 pub mod wheel;
 
 pub use dist::{Dist, DistError};
-pub use engine::{global_events_processed, Model, RunOutcome, Simulation, MAX_EVENT_BYTES};
+pub use engine::{global_events_processed, Model, Simulation, MAX_EVENT_BYTES};
 pub use hash::{FastMap, FastSet, FxHasher};
 pub use reference::ReferenceQueue;
 pub use resource::bandwidth::{SharedBandwidth, TransferDone, TransferPlan};

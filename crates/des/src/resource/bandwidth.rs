@@ -77,11 +77,10 @@ pub struct SharedBandwidth<K> {
     epoch: u64,
     bytes_moved: f64,
     busy: TimeWeighted,
-    concurrency: TimeWeighted,
     completed: u64,
 }
 
-impl<K: Clone + PartialEq> SharedBandwidth<K> {
+impl<K: Clone> SharedBandwidth<K> {
     /// Creates a link with aggregate `rate` in bytes per second.
     ///
     /// # Panics
@@ -99,7 +98,6 @@ impl<K: Clone + PartialEq> SharedBandwidth<K> {
             epoch: 0,
             bytes_moved: 0.0,
             busy: TimeWeighted::new(SimTime::ZERO, 0.0),
-            concurrency: TimeWeighted::new(SimTime::ZERO, 0.0),
             completed: 0,
         }
     }
@@ -159,17 +157,6 @@ impl<K: Clone + PartialEq> SharedBandwidth<K> {
         Some(TransferDone { finished, plan })
     }
 
-    /// Cancels the transfer for `key`, if present; returns the bytes that
-    /// had not yet been moved. Supersedes any previously issued plan.
-    pub fn cancel(&mut self, now: SimTime, key: &K) -> Option<f64> {
-        self.advance(now);
-        let idx = self.flows.iter().position(|f| &f.key == key)?;
-        let flow = self.flows.remove(idx);
-        self.note_membership(now);
-        self.reschedule(now);
-        Some(flow.remaining)
-    }
-
     /// Whether `epoch` belongs to the current membership era.
     pub fn is_current(&self, epoch: u64) -> bool {
         epoch == self.epoch
@@ -198,16 +185,6 @@ impl<K: Clone + PartialEq> SharedBandwidth<K> {
         self.busy.mean(now)
     }
 
-    /// Time-weighted mean number of concurrent transfers through `now`.
-    pub fn mean_concurrency(&self, now: SimTime) -> f64 {
-        self.concurrency.mean(now)
-    }
-
-    /// Peak number of concurrent transfers observed.
-    pub fn peak_concurrency(&self) -> u32 {
-        self.concurrency.peak() as u32
-    }
-
     /// Total transfers completed.
     pub fn completed(&self) -> u64 {
         self.completed
@@ -230,7 +207,6 @@ impl<K: Clone + PartialEq> SharedBandwidth<K> {
     fn note_membership(&mut self, now: SimTime) {
         self.busy
             .set(now, if self.flows.is_empty() { 0.0 } else { 1.0 });
-        self.concurrency.set(now, self.flows.len() as f64);
     }
 
     fn reschedule(&mut self, now: SimTime) -> Option<TransferPlan> {
@@ -326,24 +302,12 @@ mod tests {
     }
 
     #[test]
-    fn cancel_returns_unmoved_bytes() {
-        let mut bw = SharedBandwidth::new(10.0);
-        bw.start(SimTime::ZERO, 1u32, 100.0);
-        let leftover = bw.cancel(SimTime::from_secs(4), &1).unwrap();
-        assert!((leftover - 60.0).abs() < 1e-9);
-        assert_eq!(bw.active(), 0);
-        assert!(bw.cancel(SimTime::from_secs(4), &1).is_none());
-    }
-
-    #[test]
-    fn busy_fraction_and_concurrency() {
+    fn busy_fraction_tracks_membership() {
         let mut bw = SharedBandwidth::new(10.0);
         let plan = bw.start(SimTime::ZERO, 1u32, 50.0).unwrap();
         bw.on_tick(plan.next_completion, plan.epoch).unwrap();
         // Busy 5 s out of 10.
         assert!((bw.busy_fraction(SimTime::from_secs(10)) - 0.5).abs() < 1e-9);
-        assert_eq!(bw.peak_concurrency(), 1);
-        assert!((bw.mean_concurrency(SimTime::from_secs(10)) - 0.5).abs() < 1e-9);
     }
 
     #[test]

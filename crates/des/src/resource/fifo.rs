@@ -20,7 +20,7 @@ pub struct Admitted<J> {
     pub waited: SimDuration,
 }
 
-/// `c`-server FIFO queue with occupancy and waiting statistics.
+/// `c`-server FIFO queue with occupancy statistics.
 ///
 /// ```
 /// use cpsim_des::{FifoQueue, SimTime};
@@ -38,10 +38,7 @@ pub struct FifoQueue<J> {
     busy: u32,
     waiting: VecDeque<(SimTime, J)>,
     occupancy: TimeWeighted,
-    queue_len: TimeWeighted,
     served: u64,
-    total_wait: SimDuration,
-    max_wait: SimDuration,
 }
 
 impl<J> FifoQueue<J> {
@@ -57,10 +54,7 @@ impl<J> FifoQueue<J> {
             busy: 0,
             waiting: VecDeque::new(),
             occupancy: TimeWeighted::new(SimTime::ZERO, 0.0),
-            queue_len: TimeWeighted::new(SimTime::ZERO, 0.0),
             served: 0,
-            total_wait: SimDuration::ZERO,
-            max_wait: SimDuration::ZERO,
         }
     }
 
@@ -77,7 +71,6 @@ impl<J> FifoQueue<J> {
             })
         } else {
             self.waiting.push_back((now, job));
-            self.queue_len.set(now, self.waiting.len() as f64);
             None
         }
     }
@@ -92,12 +85,7 @@ impl<J> FifoQueue<J> {
         assert!(self.busy > 0, "complete() with no job in service");
         match self.waiting.pop_front() {
             Some((arrived, job)) => {
-                self.queue_len.set(now, self.waiting.len() as f64);
                 let waited = now.since(arrived);
-                self.total_wait += waited;
-                if waited > self.max_wait {
-                    self.max_wait = waited;
-                }
                 self.served += 1;
                 // Occupancy unchanged: one job leaves, one enters service.
                 Some(Admitted { job, waited })
@@ -120,7 +108,6 @@ impl<J> FifoQueue<J> {
     /// lost wholesale.
     pub fn fail_all(&mut self, now: SimTime) -> Vec<J> {
         let dropped: Vec<J> = self.waiting.drain(..).map(|(_, job)| job).collect();
-        self.queue_len.set(now, 0.0);
         self.busy = 0;
         self.occupancy.set(now, 0.0);
         dropped
@@ -149,29 +136,6 @@ impl<J> FifoQueue<J> {
     /// Mean fraction of server capacity in use through `now` (0..=1).
     pub fn utilization(&self, now: SimTime) -> f64 {
         self.occupancy.mean(now) / self.servers as f64
-    }
-
-    /// Total busy server-seconds through `now`.
-    pub fn busy_seconds(&self, now: SimTime) -> f64 {
-        self.occupancy.integral(now)
-    }
-
-    /// Time-weighted mean queue length through `now`.
-    pub fn mean_queue_len(&self, now: SimTime) -> f64 {
-        self.queue_len.mean(now)
-    }
-
-    /// Mean waiting time of jobs that have entered service.
-    pub fn mean_wait(&self) -> SimDuration {
-        self.total_wait
-            .as_micros()
-            .checked_div(self.served)
-            .map_or(SimDuration::ZERO, SimDuration::from_micros)
-    }
-
-    /// Longest waiting time of any job that has entered service.
-    pub fn max_wait(&self) -> SimDuration {
-        self.max_wait
     }
 }
 
@@ -211,9 +175,6 @@ mod tests {
         let adm = q.complete(SimTime::from_secs(5)).unwrap();
         assert_eq!(adm.job, "b");
         assert_eq!(adm.waited, SimDuration::from_secs(4));
-        assert_eq!(q.max_wait(), SimDuration::from_secs(4));
-        // mean over the two served jobs: (0 + 4) / 2
-        assert_eq!(q.mean_wait(), SimDuration::from_secs(2));
     }
 
     #[test]
@@ -222,16 +183,6 @@ mod tests {
         q.arrive(SimTime::ZERO, ());
         // one of two servers busy for 10 s => utilization 0.5
         assert!((q.utilization(SimTime::from_secs(10)) - 0.5).abs() < 1e-12);
-        assert!((q.busy_seconds(SimTime::from_secs(10)) - 10.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn mean_queue_len_integrates() {
-        let mut q = FifoQueue::new(1);
-        q.arrive(SimTime::ZERO, 0);
-        q.arrive(SimTime::ZERO, 1); // queue length 1 from t=0
-        q.complete(SimTime::from_secs(4)); // queue empties at t=4
-        assert!((q.mean_queue_len(SimTime::from_secs(8)) - 0.5).abs() < 1e-12);
     }
 
     #[test]

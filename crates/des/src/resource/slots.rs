@@ -21,8 +21,6 @@ pub struct SlotPool {
     capacity: u32,
     used: u32,
     peak: u32,
-    acquired_total: u64,
-    rejected_total: u64,
 }
 
 impl SlotPool {
@@ -33,8 +31,6 @@ impl SlotPool {
             capacity,
             used: 0,
             peak: 0,
-            acquired_total: 0,
-            rejected_total: 0,
         }
     }
 
@@ -47,13 +43,11 @@ impl SlotPool {
     pub fn try_acquire(&mut self) -> bool {
         if self.used < self.capacity {
             self.used += 1;
-            self.acquired_total += 1;
             if self.used > self.peak {
                 self.peak = self.used;
             }
             true
         } else {
-            self.rejected_total += 1;
             false
         }
     }
@@ -91,16 +85,6 @@ impl SlotPool {
     pub fn peak(&self) -> u32 {
         self.peak
     }
-
-    /// Total successful acquisitions.
-    pub fn acquired_total(&self) -> u64 {
-        self.acquired_total
-    }
-
-    /// Total rejected acquisitions (admission backpressure events).
-    pub fn rejected_total(&self) -> u64 {
-        self.rejected_total
-    }
 }
 
 #[cfg(test)]
@@ -114,12 +98,11 @@ mod tests {
         assert!(!p.try_acquire());
         assert_eq!(p.in_use(), 3);
         assert_eq!(p.peak(), 3);
-        assert_eq!(p.rejected_total(), 1);
         p.release();
         assert_eq!(p.in_use(), 2);
         assert!(p.has_capacity());
         assert!(p.try_acquire());
-        assert_eq!(p.acquired_total(), 4);
+        assert_eq!(p.peak(), 3);
     }
 
     #[test]
@@ -135,7 +118,7 @@ mod tests {
         for _ in 0..10_000 {
             assert!(p.try_acquire());
         }
-        assert_eq!(p.rejected_total(), 0);
+        assert!(p.has_capacity());
     }
 
     #[test]

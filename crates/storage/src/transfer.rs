@@ -49,7 +49,6 @@ pub struct TransferEngine {
     /// Outstanding legs per transfer (1 local, 2 cross-datastore).
     legs: BTreeMap<TransferId, u8>,
     next_id: u64,
-    bytes_requested: f64,
 }
 
 impl TransferEngine {
@@ -112,12 +111,10 @@ impl TransferEngine {
         if src == dst {
             start_leg(&mut self.engines, dst);
             self.legs.insert(id, 1);
-            self.bytes_requested += bytes;
         } else {
             start_leg(&mut self.engines, src);
             start_leg(&mut self.engines, dst);
             self.legs.insert(id, 2);
-            self.bytes_requested += 2.0 * bytes;
         }
         (id, events)
     }
@@ -175,11 +172,6 @@ impl TransferEngine {
         self.engines
             .get(&datastore)
             .map_or(0.0, |e| e.bytes_moved(now))
-    }
-
-    /// Total bytes requested across all transfer legs.
-    pub fn bytes_requested(&self) -> f64 {
-        self.bytes_requested
     }
 
     /// Transfer legs completed on `datastore`.
@@ -322,13 +314,5 @@ mod tests {
         drain(&mut eng, evs);
         assert!((eng.busy_fraction(a, SimTime::from_secs(10)) - 0.5).abs() < 1e-9);
         assert!((eng.bytes_moved(a, SimTime::from_secs(10)) - 5.0 * MIB).abs() < 1.0);
-    }
-
-    #[test]
-    fn bytes_requested_counts_both_legs() {
-        let (_inv, mut eng, a, b) = setup();
-        eng.start(SimTime::ZERO, a, a, MIB);
-        eng.start(SimTime::ZERO, a, b, MIB);
-        assert!((eng.bytes_requested() - 3.0 * MIB).abs() < 1.0);
     }
 }
