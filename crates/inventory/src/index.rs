@@ -1,11 +1,20 @@
 //! Incrementally maintained placement candidate indexes.
 //!
-//! The placement engine used to scan every datastore and every connected
-//! host per decision; these indexes keep the two orderings it needs — most
-//! free space first for datastores, least loaded first for hosts — sorted
-//! as the inventory mutates, so a placement query is a bounded walk from
-//! the best candidate instead of an O(n) scan. Every capacity update is
-//! O(log n) (a remove + insert in the affected ordered sets).
+//! Placement needs two orderings: datastores most free space first, and
+//! hosts least loaded first. The index keeps both sorted as the inventory
+//! mutates, so a placement query is a bounded walk from the best candidate
+//! instead of a full scan.
+//!
+//! - Datastores sit in one ordered set keyed by free space.
+//! - Hosts sit in one ordered set keyed by `(utilization, VM count, id)`,
+//!   over all hosts whatever their connections. A query for the hosts of
+//!   one datastore filters that order by connectivity
+//!   ([`Inventory::hosts_by_load`](crate::Inventory::hosts_by_load)); a
+//!   filtered total order is the order of the subset.
+//!
+//! Every capacity update is one remove and one insert in one ordered set,
+//! O(log n), however many datastores the host reaches. Connecting a host
+//! to a datastore touches no index at all.
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet};
@@ -46,9 +55,9 @@ pub(crate) struct PlacementIndex {
     by_free: BTreeSet<(OrdF64, Reverse<DatastoreId>)>,
     /// The free-space key currently indexed for each datastore.
     ds_key: BTreeMap<DatastoreId, OrdF64>,
-    /// Connected hosts per datastore, ordered by (utilization, VM count,
-    /// id): forward iteration is least-loaded-first.
-    hosts_by_load: BTreeMap<DatastoreId, BTreeSet<(OrdF64, usize, HostId)>>,
+    /// Every host ordered by (utilization, VM count, id): forward
+    /// iteration is least-loaded-first.
+    by_load: BTreeSet<(OrdF64, usize, HostId)>,
     /// The load key currently indexed for each host.
     host_key: BTreeMap<HostId, HostKey>,
 }
@@ -71,43 +80,25 @@ impl PlacementIndex {
         }
     }
 
-    /// Registers a host (not yet connected to any datastore).
+    /// Registers a host.
     pub fn host_added(&mut self, id: HostId, key: HostKey) {
         self.host_key.insert(id, key);
+        self.by_load.insert((key.0, key.1, id));
     }
 
-    /// Records that `host` can now reach `ds`.
-    pub fn connected(&mut self, host: HostId, ds: DatastoreId) {
-        let (util, vms) = *self.host_key.get(&host).expect("host not indexed");
-        self.hosts_by_load
-            .entry(ds)
-            .or_default()
-            .insert((util, vms, host));
-    }
-
-    /// Re-keys a host in every datastore set it belongs to after its load
-    /// changed. `datastores` is the host's connection list.
-    pub fn host_load_changed(&mut self, id: HostId, key: HostKey, datastores: &[DatastoreId]) {
+    /// Re-keys a host after its load changed.
+    pub fn host_load_changed(&mut self, id: HostId, key: HostKey) {
         let old = self.host_key.insert(id, key).expect("host not indexed");
-        if old == key {
-            return;
-        }
-        for ds in datastores {
-            if let Some(set) = self.hosts_by_load.get_mut(ds) {
-                set.remove(&(old.0, old.1, id));
-                set.insert((key.0, key.1, id));
-            }
+        if old != key {
+            self.by_load.remove(&(old.0, old.1, id));
+            self.by_load.insert((key.0, key.1, id));
         }
     }
 
-    /// Drops a host from the index. `datastores` is its connection list.
-    pub fn host_removed(&mut self, id: HostId, datastores: &[DatastoreId]) {
+    /// Drops a host from the index.
+    pub fn host_removed(&mut self, id: HostId) {
         if let Some((util, vms)) = self.host_key.remove(&id) {
-            for ds in datastores {
-                if let Some(set) = self.hosts_by_load.get_mut(ds) {
-                    set.remove(&(util, vms, id));
-                }
-            }
+            self.by_load.remove(&(util, vms, id));
         }
     }
 
@@ -120,13 +111,10 @@ impl PlacementIndex {
             .map(|&(key, Reverse(id))| (id, key.0))
     }
 
-    /// Hosts connected to `ds` in least-loaded-first order (utilization,
-    /// then registered-VM count, then id).
-    pub fn hosts_by_load(&self, ds: DatastoreId) -> impl Iterator<Item = HostId> + '_ {
-        self.hosts_by_load
-            .get(&ds)
-            .into_iter()
-            .flat_map(|set| set.iter().map(|&(_, _, id)| id))
+    /// Every host in least-loaded-first order (utilization, then
+    /// registered-VM count, then id).
+    pub fn hosts_by_load(&self) -> impl Iterator<Item = HostId> + '_ {
+        self.by_load.iter().map(|&(_, _, id)| id)
     }
 
     /// The indexed free-space key for `ds` (invariant checking).
@@ -139,10 +127,14 @@ impl PlacementIndex {
         self.host_key.get(&host).map(|&(u, n)| (u.0, n))
     }
 
-    /// Total entries across all per-datastore host sets (invariant
-    /// checking: must equal the number of host↔datastore connections).
-    pub fn connection_entries(&self) -> usize {
-        self.hosts_by_load.values().map(|s| s.len()).sum()
+    /// Whether the load order holds exactly one entry per indexed host,
+    /// under that host's indexed key (invariant checking).
+    pub fn load_order_matches_keys(&self) -> bool {
+        self.by_load.len() == self.host_key.len()
+            && self
+                .by_load
+                .iter()
+                .all(|&(util, vms, id)| self.host_key.get(&id) == Some(&(util, vms)))
     }
 
     /// Number of indexed datastores (invariant checking).
@@ -188,16 +180,16 @@ mod tests {
         idx.datastore_added(ds(0), 10.0);
         for i in 0..3 {
             idx.host_added(host(i), (OrdF64(0.0), 0));
-            idx.connected(host(i), ds(0));
         }
-        idx.host_load_changed(host(0), (OrdF64(0.5), 1), &[ds(0)]);
-        idx.host_load_changed(host(1), (OrdF64(0.0), 2), &[ds(0)]);
-        let order: Vec<_> = idx.hosts_by_load(ds(0)).collect();
+        idx.host_load_changed(host(0), (OrdF64(0.5), 1));
+        idx.host_load_changed(host(1), (OrdF64(0.0), 2));
+        let order: Vec<_> = idx.hosts_by_load().collect();
         // host2 (util 0, 0 vms) < host1 (util 0, 2 vms) < host0 (util 0.5).
         assert_eq!(order, vec![host(2), host(1), host(0)]);
-        idx.host_removed(host(2), &[ds(0)]);
-        let order: Vec<_> = idx.hosts_by_load(ds(0)).collect();
+        idx.host_removed(host(2));
+        let order: Vec<_> = idx.hosts_by_load().collect();
         assert_eq!(order, vec![host(1), host(0)]);
+        assert!(idx.load_order_matches_keys());
     }
 
     #[test]
@@ -207,8 +199,8 @@ mod tests {
         idx.datastore_free_changed(ds(0), 10.0);
         assert_eq!(idx.datastore_entries(), (1, 1));
         idx.host_added(host(0), (OrdF64(0.25), 3));
-        idx.connected(host(0), ds(0));
-        idx.host_load_changed(host(0), (OrdF64(0.25), 3), &[ds(0)]);
-        assert_eq!(idx.connection_entries(), 1);
+        idx.host_load_changed(host(0), (OrdF64(0.25), 3));
+        assert_eq!(idx.hosts_by_load().count(), 1);
+        assert!(idx.load_order_matches_keys());
     }
 }

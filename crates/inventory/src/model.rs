@@ -94,7 +94,7 @@ impl Inventory {
                 d.hosts.retain(|h| *h != id);
             }
         }
-        self.index.host_removed(id, &host.datastores);
+        self.index.host_removed(id);
         Ok(host)
     }
 
@@ -151,7 +151,6 @@ impl Inventory {
             .expect("datastore_checked verified the id above");
         if !d.hosts.contains(&host) {
             d.hosts.push(host);
-            self.index.connected(host, datastore);
         }
         Ok(())
     }
@@ -382,21 +381,21 @@ impl Inventory {
     }
 
     /// Hosts connected to `ds` in least-loaded-first order (memory
-    /// utilization, then registered-VM count, then id). Callers apply
-    /// their own eligibility filters (state, memory headroom, exclusions).
+    /// utilization, then registered-VM count, then id): the one host-load
+    /// order, filtered by connectivity. Callers apply their own eligibility
+    /// filters (state, memory headroom, exclusions).
     pub fn hosts_by_load(&self, ds: DatastoreId) -> impl Iterator<Item = HostId> + '_ {
-        self.index.hosts_by_load(ds)
+        self.index
+            .hosts_by_load()
+            .filter(move |&h| self.is_connected(h, ds))
     }
 
     /// Re-keys `host` in the load index after its utilization or VM count
     /// changed. No-op for dead hosts.
     fn reindex_host(&mut self, host: HostId) {
         if let Some(h) = self.hosts.get(host) {
-            self.index.host_load_changed(
-                host,
-                (OrdF64(h.mem_utilization()), h.vms.len()),
-                &h.datastores,
-            );
+            self.index
+                .host_load_changed(host, (OrdF64(h.mem_utilization()), h.vms.len()));
         }
     }
 
@@ -490,12 +489,8 @@ impl Inventory {
                 self.hosts.len()
             ));
         }
-        let connections: usize = self.hosts.iter().map(|(_, h)| h.datastores.len()).sum();
-        if self.index.connection_entries() != connections {
-            return Err(format!(
-                "host-load index has {} entries != {connections} connections",
-                self.index.connection_entries()
-            ));
+        if !self.index.load_order_matches_keys() {
+            return Err("host-load order out of sync with the indexed host keys".into());
         }
         for (id, host) in self.hosts.iter() {
             match self.index.host_key(id) {

@@ -1,17 +1,30 @@
 //! Admission control: global / per-host / per-datastore concurrency limits
 //! and per-VM operation locks, with a FIFO pending queue.
 //!
-//! The pending queue is event-driven: each parked task records the first
-//! resource that blocked it, and a release only re-offers the tasks whose
-//! recorded blocker was actually freed. This is exact with respect to the
-//! naive "rescan everything in FIFO order" drain because acquisitions never
-//! free capacity — a task whose recorded blocker has not been released since
-//! it was recorded still cannot be admitted. Re-offered tasks are processed
-//! in arrival order merged across blockers, so the greedy FIFO admission
-//! semantics (and therefore every simulation trace) are unchanged; only the
-//! per-release cost drops from O(pending) to O(affected).
+//! A [`Scope`] is a small `Copy` value: at most two hosts, one datastore,
+//! one exclusively locked VM and one shared-locked VM. The capacity tables
+//! and the VM lock table are keyed hash lookups.
+//!
+//! The pending queue is event-driven. Each parked task records the first
+//! resource that blocked it (its *blocker*) and lives in two places:
+//!
+//! - `pending`, a keyed table from arrival sequence to `(task, scope)`;
+//! - its blocker's bucket in `blocked_on`, a `VecDeque` of arrival
+//!   sequences kept in ascending order. Parking appends at the back (a new
+//!   sequence is always the largest); a task that re-records a deeper
+//!   blocker is placed into the new bucket by sorted insert.
+//!
+//! A release marks the blockers it freed, and the next drain re-offers
+//! only the tasks parked on those blockers. This is exact with respect to
+//! the naive "rescan every parked task in FIFO order" drain, because
+//! acquisitions never free capacity: a task whose recorded blocker has not
+//! been released since it was recorded still cannot be admitted. The
+//! re-offered buckets are merged by arrival sequence (a k-way merge over
+//! one cursor per freed bucket), so greedy FIFO admission, and with it
+//! every simulation trace, is the same as the rescan's.
+//! `tests/admission_oracle.rs` checks that equivalence under random churn.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::VecDeque;
 
 use cpsim_des::FastMap;
 
@@ -21,7 +34,7 @@ use cpsim_inventory::{DatastoreId, HostId, TaskId, VmId};
 use crate::config::AdmissionLimits;
 
 /// The resources an operation must hold while executing.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Scope {
     /// Host whose agent the operation occupies.
     pub host: Option<HostId>,
@@ -29,11 +42,11 @@ pub struct Scope {
     pub host2: Option<HostId>,
     /// Datastore the operation provisions onto / copies into.
     pub datastore: Option<DatastoreId>,
-    /// VMs that must be exclusively locked for the duration.
-    pub vms: Vec<VmId>,
-    /// VMs locked in shared mode (e.g. clone sources: many concurrent
+    /// VM that must be exclusively locked for the duration.
+    pub vm: Option<VmId>,
+    /// VM locked in shared mode (e.g. a clone source: many concurrent
     /// clones may read one template, but none while an exclusive op runs).
-    pub vms_shared: Vec<VmId>,
+    pub vm_shared: Option<VmId>,
 }
 
 impl Scope {
@@ -60,15 +73,15 @@ impl Scope {
         self
     }
 
-    /// Builder: adds an exclusive VM lock.
+    /// Builder: sets the exclusively locked VM.
     pub fn with_vm(mut self, vm: VmId) -> Self {
-        self.vms.push(vm);
+        self.vm = Some(vm);
         self
     }
 
-    /// Builder: adds a shared VM lock.
+    /// Builder: sets the shared-locked VM.
     pub fn with_vm_shared(mut self, vm: VmId) -> Self {
-        self.vms_shared.push(vm);
+        self.vm_shared = Some(vm);
         self
     }
 }
@@ -81,7 +94,7 @@ enum VmLock {
 }
 
 /// One concrete resource a parked task is waiting for.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 enum Blocker {
     Global,
     Host(HostId),
@@ -94,21 +107,21 @@ enum Blocker {
 pub struct AdmissionControl {
     limits: AdmissionLimits,
     global: SlotPool,
-    /// The three capacity tables are keyed lookups on the acquire/release
-    /// hot path and are never iterated, so hash ordering cannot leak into
-    /// event order. The pending-queue structures below stay ordered: FIFO
-    /// offer order is observable.
-    // cpsim-lint: allow(no-unordered-iteration): keyed get/insert/remove only; iteration order is never observed
+    /// Every table below is a keyed lookup and is never iterated, so hash
+    /// ordering cannot leak into event order. FIFO offer order comes from
+    /// the arrival sequences alone.
     per_host: FastMap<HostId, SlotPool>,
     per_ds: FastMap<DatastoreId, SlotPool>,
     vm_locks: FastMap<VmId, VmLock>,
-    /// Parked tasks keyed by arrival sequence; ascending key order is the
-    /// FIFO offer order. Each entry remembers the blocker it waits on.
-    pending: BTreeMap<u64, (TaskId, Scope, Blocker)>,
-    /// Reverse index: blocker -> arrival sequences of the tasks parked on it.
-    blocked_on: BTreeMap<Blocker, BTreeSet<u64>>,
-    /// Resources released since the last drain (dirty set).
-    freed: BTreeSet<Blocker>,
+    /// Parked tasks keyed by arrival sequence.
+    pending: FastMap<u64, (TaskId, Scope)>,
+    /// Blocker -> arrival sequences of the tasks parked on it, ascending.
+    /// Empty buckets are removed.
+    blocked_on: FastMap<Blocker, VecDeque<u64>>,
+    /// Resources released since the last drain, without duplicates. A
+    /// release frees at most six and the plane drains after every release,
+    /// so a linear `contains` is the cheap set.
+    freed: Vec<Blocker>,
     next_seq: u64,
     parked_total: u64,
     peak_pending: usize,
@@ -123,9 +136,9 @@ impl AdmissionControl {
             per_host: FastMap::default(),
             per_ds: FastMap::default(),
             vm_locks: FastMap::default(),
-            pending: BTreeMap::new(),
-            blocked_on: BTreeMap::new(),
-            freed: BTreeSet::new(),
+            pending: FastMap::default(),
+            blocked_on: FastMap::default(),
+            freed: Vec::new(),
             next_seq: 0,
             parked_total: 0,
             peak_pending: 0,
@@ -155,12 +168,12 @@ impl AdmissionControl {
                 .try_acquire();
             assert!(ok, "first_blocker said yes");
         }
-        for vm in &scope.vms {
-            let prev = self.vm_locks.insert(*vm, VmLock::Exclusive);
+        if let Some(vm) = scope.vm {
+            let prev = self.vm_locks.insert(vm, VmLock::Exclusive);
             assert!(prev.is_none(), "first_blocker said yes");
         }
-        for vm in &scope.vms_shared {
-            let lock = self.vm_locks.entry(*vm).or_insert(VmLock::Shared(0));
+        if let Some(vm) = scope.vm_shared {
+            let lock = self.vm_locks.entry(vm).or_insert(VmLock::Shared(0));
             assert!(!matches!(lock, VmLock::Exclusive), "first_blocker said yes");
             if let VmLock::Shared(n) = lock {
                 *n += 1;
@@ -177,14 +190,16 @@ impl AdmissionControl {
             None => {
                 // Defensive: a task parked while admissible must still be
                 // offered at the next drain, so mark its blocker dirty.
-                self.freed.insert(Blocker::Global);
+                self.mark_freed(Blocker::Global);
                 Blocker::Global
             }
         };
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.blocked_on.entry(blocker).or_default().insert(seq);
-        self.pending.insert(seq, (task, scope, blocker));
+        // `seq` is the largest sequence issued so far: appending keeps the
+        // bucket sorted.
+        self.blocked_on.entry(blocker).or_default().push_back(seq);
+        self.pending.insert(seq, (task, scope));
         self.parked_total += 1;
         self.peak_pending = self.peak_pending.max(self.pending.len());
     }
@@ -202,40 +217,40 @@ impl AdmissionControl {
     /// dirty until the next drain.
     pub fn release_only(&mut self, scope: &Scope) {
         self.global.release();
-        self.freed.insert(Blocker::Global);
+        self.mark_freed(Blocker::Global);
         for host in scope.host.iter().chain(scope.host2.iter()) {
             self.per_host
                 .get_mut(host)
                 .expect("releasing unheld host slot")
                 .release();
-            self.freed.insert(Blocker::Host(*host));
+            self.mark_freed(Blocker::Host(*host));
         }
         if let Some(ds) = scope.datastore {
             self.per_ds
                 .get_mut(&ds)
                 .expect("releasing unheld datastore slot")
                 .release();
-            self.freed.insert(Blocker::Datastore(ds));
+            self.mark_freed(Blocker::Datastore(ds));
         }
-        for vm in &scope.vms {
-            let removed = self.vm_locks.remove(vm);
+        if let Some(vm) = scope.vm {
+            let removed = self.vm_locks.remove(&vm);
             assert_eq!(
                 removed,
                 Some(VmLock::Exclusive),
                 "releasing unheld exclusive vm lock"
             );
-            self.freed.insert(Blocker::Vm(*vm));
+            self.mark_freed(Blocker::Vm(vm));
         }
-        for vm in &scope.vms_shared {
-            match self.vm_locks.get_mut(vm) {
+        if let Some(vm) = scope.vm_shared {
+            match self.vm_locks.get_mut(&vm) {
                 Some(VmLock::Shared(n)) if *n > 1 => *n -= 1,
                 Some(VmLock::Shared(_)) => {
-                    self.vm_locks.remove(vm);
+                    self.vm_locks.remove(&vm);
                 }
                 // cpsim-lint: allow(panic-reachability): a double-release means the lock table is already corrupt; aborting beats silently leaking capacity
                 other => panic!("releasing unheld shared vm lock: {other:?}"),
             }
-            self.freed.insert(Blocker::Vm(*vm));
+            self.mark_freed(Blocker::Vm(vm));
         }
     }
 
@@ -259,13 +274,13 @@ impl AdmissionControl {
         if self.freed.is_empty() {
             return admitted;
         }
-        let freed = std::mem::take(&mut self.freed);
         // One cursor per freed blocker with waiters: the arrival sequence of
         // the next waiter to offer from that bucket. Each pending task lives
-        // in exactly one bucket, so the merge visits no task twice.
-        let mut cursors: Vec<(u64, Blocker)> = Vec::with_capacity(freed.len());
-        for b in freed {
-            if let Some(&seq) = self.blocked_on.get(&b).and_then(|s| s.iter().next()) {
+        // in exactly one bucket, so the merge visits no task twice, and the
+        // minimum over the cursors is unique.
+        let mut cursors: Vec<(u64, Blocker)> = Vec::with_capacity(self.freed.len());
+        for b in self.freed.drain(..) {
+            if let Some(&seq) = self.blocked_on.get(&b).and_then(VecDeque::front) {
                 cursors.push((seq, b));
             }
         }
@@ -283,11 +298,11 @@ impl AdmissionControl {
                 cursors.swap_remove(i);
                 continue;
             }
-            let (_, scope, _) = self.pending.get(&seq).expect("blocked_on out of sync");
-            match self.first_blocker(scope) {
+            let (task, scope) = *self.pending.get(&seq).expect("blocked_on out of sync");
+            match self.first_blocker(&scope) {
                 None => {
-                    let (task, scope, _) = self.pending.remove(&seq).expect("just looked up");
-                    Self::unindex(&mut self.blocked_on, blocker, seq);
+                    self.pending.remove(&seq);
+                    self.unindex(blocker, seq);
                     let ok = self.try_acquire(&scope);
                     debug_assert!(ok, "first_blocker said admissible");
                     admitted.push((task, scope));
@@ -296,19 +311,25 @@ impl AdmissionControl {
                     if new_blocker != blocker {
                         // The freed resource has room but a deeper one is
                         // exhausted; wait on that one instead so its release
-                        // (not this one's) re-offers the task.
-                        self.move_blocker(seq, blocker, new_blocker);
+                        // (not this one's) re-offers the task. The task is
+                        // older than every unvisited cursor position, so it
+                        // lands behind the new bucket's cursor and is not
+                        // offered twice in this drain.
+                        self.unindex(blocker, seq);
+                        let bucket = self.blocked_on.entry(new_blocker).or_default();
+                        let at = bucket.partition_point(|&s| s < seq);
+                        bucket.insert(at, seq);
                     }
                 }
             }
             // Advance this cursor past the visited task (it was admitted,
             // re-recorded elsewhere, or legitimately left in place).
-            match self
-                .blocked_on
-                .get(&blocker)
-                .and_then(|s| s.range(seq + 1..).next())
-            {
-                Some(&next) => cursors[i].0 = next,
+            let next = self.blocked_on.get(&blocker).and_then(|bucket| {
+                let at = bucket.partition_point(|&s| s <= seq);
+                bucket.get(at).copied()
+            });
+            match next {
+                Some(next) => cursors[i].0 = next,
                 None => {
                     cursors.swap_remove(i);
                 }
@@ -349,20 +370,22 @@ impl AdmissionControl {
         self.vm_locks.len()
     }
 
-    fn unindex(blocked_on: &mut BTreeMap<Blocker, BTreeSet<u64>>, blocker: Blocker, seq: u64) {
-        if let Some(set) = blocked_on.get_mut(&blocker) {
-            set.remove(&seq);
-            if set.is_empty() {
-                blocked_on.remove(&blocker);
-            }
+    fn mark_freed(&mut self, b: Blocker) {
+        if !self.freed.contains(&b) {
+            self.freed.push(b);
         }
     }
 
-    fn move_blocker(&mut self, seq: u64, from: Blocker, to: Blocker) {
-        Self::unindex(&mut self.blocked_on, from, seq);
-        self.blocked_on.entry(to).or_default().insert(seq);
-        if let Some(entry) = self.pending.get_mut(&seq) {
-            entry.2 = to;
+    /// Removes `seq` from `blocker`'s bucket, dropping the bucket once it
+    /// is empty.
+    fn unindex(&mut self, blocker: Blocker, seq: u64) {
+        if let Some(bucket) = self.blocked_on.get_mut(&blocker) {
+            if let Ok(at) = bucket.binary_search(&seq) {
+                bucket.remove(at);
+            }
+            if bucket.is_empty() {
+                self.blocked_on.remove(&blocker);
+            }
         }
     }
 
@@ -421,14 +444,14 @@ impl AdmissionControl {
                 return Some(Blocker::Datastore(ds));
             }
         }
-        for vm in &scope.vms {
-            if self.vm_locks.contains_key(vm) {
-                return Some(Blocker::Vm(*vm));
+        if let Some(vm) = scope.vm {
+            if self.vm_locks.contains_key(&vm) {
+                return Some(Blocker::Vm(vm));
             }
         }
-        for vm in &scope.vms_shared {
-            if matches!(self.vm_locks.get(vm), Some(VmLock::Exclusive)) || scope.vms.contains(vm) {
-                return Some(Blocker::Vm(*vm));
+        if let Some(vm) = scope.vm_shared {
+            if matches!(self.vm_locks.get(&vm), Some(VmLock::Exclusive)) || scope.vm == Some(vm) {
+                return Some(Blocker::Vm(vm));
             }
         }
         None
@@ -483,10 +506,10 @@ mod tests {
         let scope = Scope::global_only().with_host(h).with_datastore(ds);
         assert!(ac.try_acquire(&scope));
         assert!(!ac.try_acquire(&scope), "per-datastore limit is 1");
-        ac.park(t1, scope.clone());
+        ac.park(t1, scope);
         assert_eq!(ac.pending_len(), 1);
         let admitted = ac.release(&scope);
-        assert_eq!(admitted, vec![(t1, scope.clone())]);
+        assert_eq!(admitted, vec![(t1, scope)]);
         assert_eq!(ac.pending_len(), 0);
         assert_eq!(ac.parked_total(), 1);
     }
@@ -549,11 +572,11 @@ mod tests {
         });
         let scope = Scope::global_only().with_host(h).with_datastore(ds);
         assert!(ac.try_acquire(&scope));
-        ac.park(t1, scope.clone());
-        ac.park(t2, scope.clone());
+        ac.park(t1, scope);
+        ac.park(t2, scope);
         // Releasing one slot admits exactly the first parked task.
         let admitted = ac.release(&scope);
-        assert_eq!(admitted, vec![(t1, scope.clone())]);
+        assert_eq!(admitted, vec![(t1, scope)]);
         assert_eq!(ac.pending_len(), 1);
         assert_eq!(ac.peak_pending(), 2);
     }
@@ -581,10 +604,10 @@ mod tests {
         assert!(ac.try_acquire(&ds_filler));
         let want_b = Scope::global_only().with_host(hb).with_datastore(d);
         let want_a = Scope::global_only().with_host(ha).with_datastore(d);
-        ac.park(t1, want_b.clone()); // blocked on host B
-        ac.park(t2, want_a.clone()); // blocked on host A
-                                     // Free both hosts; only one datastore slot remains, so only one of
-                                     // the two waiters can go — it must be t1.
+        ac.park(t1, want_b); // blocked on host B
+        ac.park(t2, want_a); // blocked on host A
+                             // Free both hosts; only one datastore slot remains, so only one of
+                             // the two waiters can go — it must be t1.
         ac.release_only(&holder_a);
         let admitted = ac.release(&holder_b);
         assert_eq!(admitted, vec![(t1, want_b)]);
@@ -607,7 +630,7 @@ mod tests {
         assert!(ac.try_acquire(&ds_holder));
         let want = Scope::global_only().with_host(h).with_datastore(ds);
         assert!(!ac.try_acquire(&want));
-        ac.park(t1, want.clone());
+        ac.park(t1, want);
         // Freeing the host is not enough: the datastore still blocks.
         assert!(ac.release(&host_holder).is_empty());
         assert_eq!(ac.pending_len(), 1);
@@ -634,7 +657,7 @@ mod tests {
         assert!(ac.try_acquire(&filler));
         // Global still has room, so the waiter records the host blocker.
         let want = Scope::global_only().with_host(h);
-        ac.park(t1, want.clone());
+        ac.park(t1, want);
         // Free the host while simultaneously exhausting the global pool:
         // release the host holder, then consume two global slots before
         // draining.

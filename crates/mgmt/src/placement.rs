@@ -4,12 +4,15 @@
 //! Placement is a control-plane cost center: the real system scans the
 //! inventory to score candidates, so our *simulated* CPU charge grows
 //! linearly with host count (see `ControlCostModel::placement_per_host_us`).
-//! The wall-clock cost of deciding, however, is sublinear: the inventory
-//! maintains candidate indexes (datastores by free space, hosts by load)
-//! so a decision is a bounded walk from the best candidate rather than a
-//! full scan. The policy itself is deliberately simple and deterministic,
-//! and the indexed path is property-tested against the straightforward
-//! scan (`place_reference`) it replaced.
+//! The wall-clock cost of deciding, however, is sublinear. The inventory
+//! keeps two candidate orders up to date: datastores by free space, and
+//! one order of all hosts by load. A decision walks datastores from the
+//! most free, and for each walks the host order filtered to the hosts
+//! connected to that datastore, stopping at the first eligible one. The
+//! policy itself is deliberately simple and deterministic, and the indexed
+//! path is property-tested against the straightforward scans
+//! (`place_reference`, `pick_host_reference`) it replaced, under churn
+//! that adds, connects, loads and removes hosts.
 
 use cpsim_inventory::{DatastoreId, HostId, Inventory};
 
@@ -223,6 +226,10 @@ mod tests {
                 d: usize,
                 delta: i8,
             },
+            /// Destroys the host's VMs, then the host itself.
+            RemoveHost {
+                h: usize,
+            },
         }
 
         fn churn_strategy() -> impl Strategy<Value = Churn> {
@@ -236,12 +243,13 @@ mod tests {
                 (0usize..32).prop_map(|v| Churn::PowerOff { v }),
                 (0usize..32).prop_map(|v| Churn::Destroy { v }),
                 ((0usize..8), (-50i8..50)).prop_map(|(d, delta)| Churn::AdjustDs { d, delta }),
+                (0usize..8).prop_map(|h| Churn::RemoveHost { h }),
             ]
         }
 
-        fn query_strategy() -> impl Strategy<Value = (u8, u8)> {
-            // (disk_gb, mem_gb)
-            ((1u8..50), (1u8..48))
+        fn query_strategy() -> impl Strategy<Value = (u8, u8, Option<usize>)> {
+            // (disk_gb, mem_gb, host to exclude)
+            ((1u8..50), (1u8..48), proptest::option::of(0usize..8))
         }
 
         proptest! {
@@ -312,16 +320,33 @@ mod tests {
                                 let _ = inv.adjust_datastore_usage(d, f64::from(delta));
                             }
                         }
+                        Churn::RemoveHost { h } => {
+                            // Removed ids stay in `hosts`: later churn on
+                            // them exercises the stale-id error paths.
+                            if let Some(on_host) = hosts.get(h).and_then(|&h| inv.host(h)).map(|x| x.vms.clone()) {
+                                for vm in on_host {
+                                    let _ = inv.power_off(vm);
+                                    inv.destroy_vm(vm).expect("powered off above");
+                                }
+                                inv.remove_host(hosts[h]).expect("host drained above");
+                            }
+                        }
                     }
                 }
                 inv.check_invariants().expect("index in sync after churn");
 
-                for &(disk, mem_gb) in &queries {
+                for &(disk, mem_gb, exclude) in &queries {
                     let disk_gb = f64::from(disk);
                     let mem_mb = u64::from(mem_gb) * 1024;
                     let got = Placer.place(&inv, disk_gb, mem_mb);
                     let want = Placer.place_reference(&inv, disk_gb, mem_mb);
                     prop_assert_eq!(got, want, "disk {} mem {}", disk_gb, mem_mb);
+                    let exclude = exclude.and_then(|h| hosts.get(h).copied());
+                    for &ds in &dss {
+                        let got = Placer.pick_host(&inv, ds, mem_mb, exclude);
+                        let want = Placer.pick_host_reference(&inv, ds, mem_mb, exclude);
+                        prop_assert_eq!(got, want, "ds {:?} mem {} exclude {:?}", ds, mem_mb, exclude);
+                    }
                 }
             }
         }

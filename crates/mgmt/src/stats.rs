@@ -1,11 +1,9 @@
 //! Control-plane statistics: per-operation latency distributions with the
 //! control/data split, and phase-level cost accounting.
 
-use cpsim_des::FastMap;
-
 use cpsim_metrics::Histogram;
 
-use crate::task::TaskReport;
+use crate::task::{PhaseClass, TaskReport};
 
 /// Latency and cost distributions for one operation kind.
 #[derive(Clone, Debug, Default)]
@@ -40,18 +38,11 @@ pub struct KindStats {
 #[derive(Clone, Debug, Default)]
 pub struct MgmtStats {
     submitted: u64,
-    /// Per-kind stats, kept sorted by kind name: the dozen-odd kinds make
-    /// a binary-searched vector cheaper than a tree on the per-task
-    /// record path, and iteration order stays deterministic for free.
-    by_kind: Vec<(&'static str, KindStats)>,
-    /// Sum of service seconds by (kind, class, label) — the data behind
-    /// the per-phase cost-breakdown table. Accumulated in a hash map (one
-    /// probe per breakdown row beats a string-tuple tree comparison at
-    /// every node); [`phase_totals`](Self::phase_totals) sorts on access,
-    /// and per-key accumulation order is chronological either way, so the
-    /// emitted totals are bit-identical to the ordered-map ones.
-    // cpsim-lint: allow(no-unordered-iteration): accessor sorts before exposing; per-key += is order-independent
-    phase_totals: FastMap<(&'static str, &'static str, &'static str), (f64, u64)>,
+    /// Per-kind stats and phase totals, kept sorted by kind name: the
+    /// dozen-odd kinds make a binary-searched vector cheaper than a tree on
+    /// the per-task record path, and iteration order stays deterministic
+    /// for free.
+    by_kind: Vec<KindEntry>,
     // Fault-injection counters (all zero in fault-free runs).
     retries: u64,
     aborts: u64,
@@ -66,6 +57,65 @@ pub struct MgmtStats {
     placement_syncs: u64,
 }
 
+/// One kind's stats and its phase totals.
+#[derive(Clone, Debug)]
+struct KindEntry {
+    kind: &'static str,
+    stats: KindStats,
+    /// Sum of service seconds per `(class, label)` — the data behind the
+    /// per-phase cost-breakdown table — in first-seen order. Rows are
+    /// matched by label content, and each key's sum is added to in
+    /// chronological order, so [`MgmtStats::phase_totals`] reports
+    /// bit-identical totals whatever the row order.
+    phases: Vec<PhaseRow>,
+    /// Where the next row lookup starts: one past the last match. Tasks of
+    /// one kind report their phases in the same order, so the lookup
+    /// almost always hits on its first comparison.
+    next_row: usize,
+}
+
+/// One `(class, label)` row of a kind's phase totals.
+#[derive(Clone, Debug)]
+struct PhaseRow {
+    class: PhaseClass,
+    label: &'static str,
+    secs: f64,
+    count: u64,
+}
+
+impl KindEntry {
+    fn new(kind: &'static str) -> Self {
+        KindEntry {
+            kind,
+            stats: KindStats::default(),
+            phases: Vec::new(),
+            next_row: 0,
+        }
+    }
+
+    /// Adds `secs` over `count` phases to the `(class, label)` row,
+    /// appending the row if it is new.
+    fn add_phase(&mut self, class: PhaseClass, label: &'static str, secs: f64, count: u64) {
+        let rows = &self.phases;
+        let found = (self.next_row..rows.len())
+            .chain(0..self.next_row)
+            .find(|&i| rows[i].class == class && rows[i].label == label);
+        let i = found.unwrap_or_else(|| {
+            self.phases.push(PhaseRow {
+                class,
+                label,
+                secs: 0.0,
+                count: 0,
+            });
+            self.phases.len() - 1
+        });
+        let row = &mut self.phases[i];
+        row.secs += secs;
+        row.count += count;
+        self.next_row = i + 1;
+    }
+}
+
 impl MgmtStats {
     /// Creates empty statistics.
     pub fn new() -> Self {
@@ -78,23 +128,24 @@ impl MgmtStats {
     }
 
     /// The entry for `kind`, inserted at its sorted position if new.
-    fn kind_entry<'a>(
-        by_kind: &'a mut Vec<(&'static str, KindStats)>,
-        kind: &'static str,
-    ) -> &'a mut KindStats {
-        let i = match by_kind.binary_search_by_key(&kind, |(k, _)| *k) {
+    fn kind_entry(&mut self, kind: &'static str) -> &mut KindEntry {
+        let i = match self.by_kind.binary_search_by_key(&kind, |e| e.kind) {
             Ok(i) => i,
             Err(i) => {
-                by_kind.insert(i, (kind, KindStats::default()));
+                self.by_kind.insert(i, KindEntry::new(kind));
                 i
             }
         };
-        &mut by_kind[i].1
+        &mut self.by_kind[i]
     }
 
     /// Records a finished task's report.
     pub fn on_finished(&mut self, report: &TaskReport) {
-        let ks = Self::kind_entry(&mut self.by_kind, report.kind);
+        let entry = self.kind_entry(report.kind);
+        for &(class, label, secs) in &report.breakdown {
+            entry.add_phase(class, label, secs, 1);
+        }
+        let ks = &mut entry.stats;
         if report.is_success() {
             ks.completed += 1;
         } else {
@@ -110,14 +161,6 @@ impl MgmtStats {
         ks.data.record(report.data_secs);
         ks.queue.record(report.queue_secs);
         ks.admission.record(report.admission_secs);
-        for (class, label, secs) in &report.breakdown {
-            let entry = self
-                .phase_totals
-                .entry((report.kind, class.name(), label))
-                .or_insert((0.0, 0));
-            entry.0 += secs;
-            entry.1 += 1;
-        }
     }
 
     /// Notes one phase retry.
@@ -228,37 +271,40 @@ impl MgmtStats {
 
     /// Total completions across kinds.
     pub fn completed(&self) -> u64 {
-        self.by_kind.iter().map(|(_, k)| k.completed).sum()
+        self.by_kind.iter().map(|e| e.stats.completed).sum()
     }
 
     /// Total failures across kinds.
     pub fn failed(&self) -> u64 {
-        self.by_kind.iter().map(|(_, k)| k.failed).sum()
+        self.by_kind.iter().map(|e| e.stats.failed).sum()
     }
 
     /// Stats for one kind, if any tasks of it finished.
     pub fn kind(&self, kind: &str) -> Option<&KindStats> {
         self.by_kind
-            .binary_search_by_key(&kind, |(k, _)| *k)
+            .binary_search_by_key(&kind, |e| e.kind)
             .ok()
-            .map(|i| &self.by_kind[i].1)
+            .map(|i| &self.by_kind[i].stats)
     }
 
     /// Iterates kinds in deterministic order.
     pub fn kinds(&self) -> impl Iterator<Item = (&'static str, &KindStats)> + '_ {
-        self.by_kind.iter().map(|(k, v)| (*k, v))
+        self.by_kind.iter().map(|e| (e.kind, &e.stats))
     }
 
     /// Iterates `(kind, class, label) -> (total_secs, count)` phase totals
-    /// in deterministic order (sorted by key, exactly as the previous
-    /// ordered-map representation iterated).
+    /// sorted by key.
     pub fn phase_totals(
         &self,
     ) -> impl Iterator<Item = (&'static str, &'static str, &'static str, f64, u64)> + '_ {
         let mut rows: Vec<_> = self
-            .phase_totals
+            .by_kind
             .iter()
-            .map(|(&(k, c, l), &(s, n))| (k, c, l, s, n))
+            .flat_map(|e| {
+                e.phases
+                    .iter()
+                    .map(|r| (e.kind, r.class.name(), r.label, r.secs, r.count))
+            })
             .collect();
         rows.sort_unstable_by_key(|&(k, c, l, _, _)| (k, c, l));
         rows.into_iter()
@@ -267,8 +313,12 @@ impl MgmtStats {
     /// Merges another stats object (for multi-run aggregation).
     pub fn merge(&mut self, other: &MgmtStats) {
         self.submitted += other.submitted;
-        for &(kind, ref ks) in &other.by_kind {
-            let mine = Self::kind_entry(&mut self.by_kind, kind);
+        for theirs in &other.by_kind {
+            let entry = self.kind_entry(theirs.kind);
+            for r in &theirs.phases {
+                entry.add_phase(r.class, r.label, r.secs, r.count);
+            }
+            let (mine, ks) = (&mut entry.stats, &theirs.stats);
             mine.completed += ks.completed;
             mine.failed += ks.failed;
             mine.retries += ks.retries;
@@ -281,11 +331,6 @@ impl MgmtStats {
             mine.data.merge(&ks.data);
             mine.queue.merge(&ks.queue);
             mine.admission.merge(&ks.admission);
-        }
-        for (key, (s, n)) in &other.phase_totals {
-            let entry = self.phase_totals.entry(*key).or_insert((0.0, 0));
-            entry.0 += s;
-            entry.1 += n;
         }
         self.retries += other.retries;
         self.aborts += other.aborts;
@@ -303,7 +348,6 @@ impl MgmtStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::task::PhaseClass;
     use cpsim_des::{SimDuration, SimTime};
 
     fn report(kind: &'static str, latency: f64, data: f64) -> TaskReport {
@@ -356,6 +400,18 @@ mod tests {
         assert_eq!(s.completed(), 0);
     }
 
+    /// `text` in a fresh allocation: equal content at a new address.
+    fn leaked(text: &str) -> &'static str {
+        String::from(text).leak()
+    }
+
+    /// A report of `kind` with the given breakdown rows.
+    fn phased(kind: &'static str, rows: &[(PhaseClass, &'static str, f64)]) -> TaskReport {
+        let mut r = report(kind, 1.0, 0.0);
+        r.breakdown = rows.to_vec();
+        r
+    }
+
     #[test]
     fn phase_totals_accumulate() {
         let mut s = MgmtStats::new();
@@ -367,6 +423,45 @@ mod tests {
         assert_eq!((kind, class, label), ("clone-full", "cpu", "api-ingress"));
         assert!((secs - 0.2).abs() < 1e-12);
         assert_eq!(count, 2);
+
+        // Several kinds, classes and labels, reported in varying order;
+        // a label built at a new address joins the row of equal text.
+        s.on_finished(&phased(
+            "power-on",
+            &[
+                (PhaseClass::Db, "lookup", 0.5),
+                (PhaseClass::HostAgent, "power-on", 2.0),
+                (PhaseClass::Db, "update", 0.25),
+            ],
+        ));
+        s.on_finished(&phased(
+            "power-on",
+            &[
+                (PhaseClass::Db, "update", 0.75),
+                (PhaseClass::Db, leaked("lookup"), 1.5),
+                // Same label text under another class: its own row.
+                (PhaseClass::Cpu, "lookup", 0.125),
+            ],
+        ));
+        s.on_finished(&phased(
+            "clone-full",
+            &[
+                (PhaseClass::Cpu, leaked("api-ingress"), 0.3),
+                (PhaseClass::Cpu, "api-ingress", 0.4),
+            ],
+        ));
+        let rows: Vec<_> = s.phase_totals().collect();
+        assert_eq!(
+            rows,
+            vec![
+                ("clone-full", "cpu", "api-ingress", 0.1 + 0.1 + 0.3 + 0.4, 4),
+                ("power-on", "cpu", "lookup", 0.125, 1),
+                ("power-on", "db", "lookup", 2.0, 2),
+                ("power-on", "db", "update", 1.0, 2),
+                ("power-on", "host-agent", "power-on", 2.0, 1),
+            ],
+            "sorted by (kind, class, label), summed in report order"
+        );
     }
 
     #[test]
@@ -374,14 +469,42 @@ mod tests {
         let mut a = MgmtStats::new();
         a.on_submitted("x");
         a.on_finished(&report("clone-full", 100.0, 90.0));
+        a.on_finished(&phased(
+            "power-on",
+            &[
+                (PhaseClass::Db, "lookup", 0.5),
+                (PhaseClass::Cpu, "ingress", 0.25),
+            ],
+        ));
         let mut b = MgmtStats::new();
         b.on_submitted("x");
         b.on_finished(&report("clone-full", 200.0, 180.0));
+        b.on_finished(&phased(
+            "power-on",
+            &[
+                (PhaseClass::Db, leaked("lookup"), 1.0),
+                (PhaseClass::Db, "update", 2.0),
+            ],
+        ));
+        b.on_finished(&phased(
+            "destroy",
+            &[(PhaseClass::HostAgent, "unregister", 3.0)],
+        ));
         a.merge(&b);
         assert_eq!(a.submitted(), 2);
         assert_eq!(a.kind("clone-full").unwrap().latency.count(), 2);
-        let (_, _, _, secs, n) = a.phase_totals().next().unwrap();
-        assert!((secs - 0.2).abs() < 1e-12);
-        assert_eq!(n, 2);
+        assert_eq!(a.kind("power-on").unwrap().completed, 2);
+        assert_eq!(a.kind("destroy").unwrap().completed, 1);
+        let rows: Vec<_> = a.phase_totals().collect();
+        assert_eq!(
+            rows,
+            vec![
+                ("clone-full", "cpu", "api-ingress", 0.1 + 0.1, 2),
+                ("destroy", "host-agent", "unregister", 3.0, 1),
+                ("power-on", "cpu", "ingress", 0.25, 1),
+                ("power-on", "db", "lookup", 1.5, 2),
+                ("power-on", "db", "update", 2.0, 1),
+            ]
+        );
     }
 }
